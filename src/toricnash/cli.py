@@ -305,8 +305,7 @@ def _cone_info(cone):
 
 def _nash_results(locus, opts):
     report = certify_essential(locus, samples=opts["samples"],
-                               seed=opts["seed"], buffer=opts["buffer"],
-                               level_cap=opts["level_cap"])
+                               seed=opts["seed"])
     return report, {
         "minimal_points": [list(v) for v in report.minimal_points],
         "count": len(report.minimal_points),
@@ -342,6 +341,13 @@ def run_command(doc: InputDocument, command: str, options=None) -> ReportDocumen
         for k, v in options.items():
             if v is not None:
                 opts[k] = v
+    shown = ("samples", "buffer", "level_cap")
+    if command != "contact":
+        shown = ("samples",)
+        for k in ("buffer", "level_cap"):
+            if opts[k] is not None:
+                raise ValidationError(
+                    f"option {k!r} applies only to the contact command")
 
     results = {}
     if command == "info":
@@ -385,7 +391,7 @@ def run_command(doc: InputDocument, command: str, options=None) -> ReportDocumen
         command=command,
         version=__version__,
         seed=opts["seed"],
-        options={k: opts[k] for k in ("samples", "buffer", "level_cap")},
+        options={k: opts[k] for k in shown},
         input_hash=doc.input_hash(),
         input=doc.canonical,
         results=results,
@@ -456,8 +462,7 @@ def _oracle_region(locus, minimal_points):
 
 def _stv_nash(doc, opts):
     rep = stv_nash_report(doc.complex, samples=opts["samples"],
-                          seed=opts["seed"], buffer=opts["buffer"],
-                          level_cap=opts["level_cap"])
+                          seed=opts["seed"])
     comps = []
     for pair, r in zip(rep.pairs, rep.reports):
         entry = {"index": pair.index, "trivial": r is None}
@@ -491,8 +496,7 @@ def _certify(doc, opts):
         bijective = report.bijective
     elif doc.kind == "stv":
         rep = stv_nash_report(doc.complex, samples=opts["samples"],
-                              seed=opts["seed"], buffer=opts["buffer"],
-                              level_cap=opts["level_cap"])
+                              seed=opts["seed"])
         for pair, r in zip(rep.pairs, rep.reports):
             if r is None:
                 continue
@@ -598,8 +602,10 @@ def _build_parser():
     p.add_argument("--input", required=True, help="path to a JSON document")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--buffer", type=int, default=None)
-    p.add_argument("--level-cap", type=int, default=None, dest="level_cap")
+    p.add_argument("--buffer", type=int, default=None,
+                   help="contact only: levels scanned past the last new point")
+    p.add_argument("--level-cap", type=int, default=None, dest="level_cap",
+                   help="contact only: highest level scanned (exit 2 when hit)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--oracle", action="store_true", default=None)
     return p

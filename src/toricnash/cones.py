@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
 from . import intlinalg as la
 from .errors import (

@@ -501,7 +501,7 @@ def _avoid_with(sigma: Cone, locus: FaceLocus, w, n1, n2) -> Subdivision:
         else:
             centers = list(holder.rays)
     for center in centers:
-        fan = star_subdivide(fan, center).refined
+        fan = _star_refine(fan, center)
     result = make_locus_resolution(sigma, locus, forbidden=(w,), start=fan)
     if w in result.refined.rays():
         raise ConstructionFailed(f"completion re-introduced the ray {w}")

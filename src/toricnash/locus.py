@@ -60,12 +60,26 @@ class FaceLocus:
     def __iter__(self):
         return iter(self.faces)
 
+    def marks(self, face) -> bool:
+        return face in self.faces
+
     def minimal_faces(self):
         return [f for f in self.faces
                 if not any(g != f and g.is_face_of(f) for g in self.faces)]
 
-    def sorted_faces(self):
-        return sorted(self.faces, key=lambda f: (len(f.rays), f.rays))
+
+@dataclass(frozen=True)
+class MarkedFaces:
+    """The faces of a pointed cone having, for each vector in `sums`, a ray
+    that pairs positively with it.  Upward-closed by construction; unlike a
+    FaceLocus it need not cover the singular faces (the ideal exponents of
+    `nash.faces_to_ideal` are such a region on the dual cone)."""
+
+    cone: Cone
+    sums: tuple
+
+    def marks(self, face) -> bool:
+        return all(any(la.dot(r, s) > 0 for r in face.rays) for s in self.sums)
 
 
 def face_locus(sigma: Cone, seed=()) -> FaceLocus:
@@ -90,15 +104,15 @@ def face_locus(sigma: Cone, seed=()) -> FaceLocus:
     return FaceLocus(sigma, frozenset(closure))
 
 
-def region_contains(locus: FaceLocus, v) -> bool:
+def region_contains(locus: FaceLocus | MarkedFaces, v) -> bool:
     """True iff v lies in the relative interior of some marked face."""
     v = la.vec(v)
     if not locus.cone.contains(v):
         return False
-    return smallest_containing_face(locus.cone, v) in locus.faces
+    return locus.marks(smallest_containing_face(locus.cone, v))
 
 
-def is_minimal_in_region(locus: FaceLocus, v) -> bool:
+def is_minimal_in_region(locus: FaceLocus | MarkedFaces, v) -> bool:
     """Exact minimality test for region points.
 
     One-step Hilbert-basis reduction is complete here because the region is
@@ -114,7 +128,7 @@ def is_minimal_in_region(locus: FaceLocus, v) -> bool:
     return True
 
 
-def reduce_to_minimal(locus: FaceLocus, v) -> Vec:
+def reduce_to_minimal(locus: FaceLocus | MarkedFaces, v) -> Vec:
     """Walk v down by Hilbert basis elements while staying in the region."""
     v = la.vec(v)
     if not region_contains(locus, v):
@@ -127,10 +141,10 @@ def reduce_to_minimal(locus: FaceLocus, v) -> Vec:
         v = la.vsub(v, step)
 
 
-def marks_cone(locus: FaceLocus, subcone_rays) -> bool:
+def marks_cone(locus: FaceLocus | MarkedFaces, subcone_rays) -> bool:
     """True iff the relative interior of cone(subcone_rays) lies in the region.
 
     The relative interior of a subcone lies inside the relative interior of
     exactly one face of the ambient cone: the smallest face containing it.
     """
-    return face_spanned_by(locus.cone, subcone_rays) in locus.faces
+    return locus.marks(face_spanned_by(locus.cone, subcone_rays))

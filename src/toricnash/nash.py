@@ -2,16 +2,19 @@
 certificates, monomial valuations, contact-locus components, and the
 orbit-closure order on arc classes.
 
-Enumeration is breadth-first by levels of the cone's grading functional.  For
-the marked-region minima the default level budget is provably complete: in any
-Hilbert-basis decomposition of a region-minimal point every coefficient is at
-most one (a repeated summand could be peeled off without leaving the region or
-while dropping to a smaller face), so minima live below the sum of the basis
-levels.  The analogous bound for contact loci scales with the contact order.
+Region minima come from a finite candidate set: the half-open parallelepiped
+points of the simplices of one triangulation, each raised by simplex rays into
+a marked simplex face, then one exact minimality test (see
+minimal_region_points).  The generators of the ideal of a locus are the region
+minima of a marked-face family on the dual cone.  Contact loci are still found
+breadth-first by levels of the cone's grading functional, under a level budget
+that scales with the contact order.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -24,8 +27,10 @@ from .cones import (
     face_spanned_by,
     hilbert_basis,
     monoid_level_points,
+    parallelepiped_points,
     positive_functional,
     smallest_containing_face,
+    triangulate,
 )
 from .errors import (
     BudgetExceeded,
@@ -36,8 +41,10 @@ from .errors import (
 from .fans import Fan, Subdivision, avoidance_resolution, make_locus_resolution
 from .locus import (
     FaceLocus,
+    MarkedFaces,
     face_locus,
     is_minimal_in_region,
+    marks_cone,
     region_contains,
     singular_faces,
 )
@@ -47,39 +54,34 @@ Vec = la.Vec
 _DEFAULT_LEVEL_CAP = 10_000
 
 
-def _base_budget(sigma: Cone) -> int:
-    ell = positive_functional(sigma)
-    return sum(la.dot(ell, h) for h in hilbert_basis(sigma))
-
-
-def minimal_region_points(locus: FaceLocus, buffer=None, level_cap=None):
+def minimal_region_points(locus: FaceLocus | MarkedFaces):
     """All minimal lattice points of the marked region under the cone order.
 
-    Scans grading levels, stopping after `buffer` consecutive levels without a
-    new minimal point (default: the complete budget described in the module
-    docstring).  A level cap, if given, raises BudgetExceeded when hit.
+    The candidates are finite.  Fix one triangulation of the cone and let v be
+    region-minimal.  Some simplex holds v, and v = sum of c_g g over a subset S
+    of its rays with every c_g > 0, so v lies in the relative interior of
+    cone(S); that relative interior sits inside the relative interior of one
+    face of the cone, the one holding v, so cone(S) marks the region.  If some
+    c_g > 1, then v - g still lies in the relative interior of cone(S), hence
+    in the region, and below v: so every c_g is in (0, 1].  Hence v = p + (the
+    sum of the rays of S outside the support of p), for p the point of the
+    simplex's half-open parallelepiped with the fractional parts of the c_g.
+    Every candidate lies in the region, and one exact minimality test on them
+    leaves exactly the minima.
     """
     sigma = locus.cone
-    if buffer is None:
-        buffer = max(1, _base_budget(sigma))
-    out = []
-    misses = 0
-    k = 1
-    while misses < buffer:
-        if level_cap is not None and k > level_cap:
-            raise BudgetExceeded(
-                f"level cap {level_cap} hit with {len(out)} minima found")
-        if k > _DEFAULT_LEVEL_CAP:
-            raise BudgetExceeded("default level cap hit")
-        new = [v for v in monoid_level_points(sigma, k)
-               if region_contains(locus, v) and is_minimal_in_region(locus, v)]
-        if new:
-            out.extend(new)
-            misses = 0
-        else:
-            misses += 1
-        k += 1
-    return tuple(sorted(out))
+    dim = sigma.ambient_dim
+    candidates = set()
+    for simplex in triangulate(sigma):
+        cell = Cone.from_rays(simplex, dim)
+        for p in parallelepiped_points(simplex, dim):
+            support = face_spanned_by(cell, (p,)).rays
+            rest = [g for g in simplex if g not in support]
+            for k in range(len(rest) + 1):
+                for extra in itertools.combinations(rest, k):
+                    if marks_cone(locus, support + extra):
+                        candidates.add(functools.reduce(la.vadd, extra, p))
+    return tuple(sorted(v for v in candidates if is_minimal_in_region(locus, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,6 @@ class MonomialIdeal:
 def _span_embedding(sigma: Cone):
     """(coords, lift) maps between the ambient lattice and the span lattice."""
     if not sigma.span_equations:
-        ident = tuple(tuple(v) for v in la.identity(sigma.ambient_dim))
         return (lambda v: la.vec(v)), (lambda v: la.vec(v))
     B = la.saturation_basis(sigma.rays)
     P = la.complete_to_unimodular(B)
@@ -135,9 +136,12 @@ def _span_embedding(sigma: Cone):
 def faces_to_ideal(locus: FaceLocus) -> MonomialIdeal:
     """The invariant ideal cutting out the marked locus.
 
-    Generators are the minimal monomial exponents pairing at least 1 with the
-    relative-interior representative of every marked face; they satisfy the
-    bridge property: v is in the region iff every generator pairs >= 1 with v.
+    Its exponents are the dual lattice points pairing at least 1 with the ray
+    sum of every minimal marked face.  A dual point in the relative interior
+    of a dual face G pairs positively with such a sum iff some ray of G does,
+    so the exponents are the region of the dual faces MarkedFaces marks, and
+    the generators are its region minima.  They satisfy the bridge
+    property: v is in the region iff every generator pairs >= 1 with v.
     """
     sigma = locus.cone
     coords, lift_dual = _span_embedding(sigma)
@@ -150,30 +154,7 @@ def faces_to_ideal(locus: FaceLocus) -> MonomialIdeal:
         for r in f.rays:
             total = la.vadd(total, coords(r))
         reps.append(total)
-
-    def in_ideal(u):
-        return all(la.dot(u, rep) >= 1 for rep in reps)
-
-    hb = hilbert_basis(dual)
-    budget = max(1, _base_budget(dual))
-    gens = []
-    misses = 0
-    k = 1
-    while misses < budget:
-        new = []
-        for u in monoid_level_points(dual, k):
-            if not in_ideal(u):
-                continue
-            if any(in_ideal(la.vsub(u, h)) and dual.contains(la.vsub(u, h))
-                   for h in hb):
-                continue
-            new.append(u)
-        if new:
-            gens.extend(new)
-            misses = 0
-        else:
-            misses += 1
-        k += 1
+    gens = minimal_region_points(MarkedFaces(dual, tuple(reps)))
     return MonomialIdeal(sigma, tuple(lift_dual(u) for u in gens))
 
 
@@ -189,19 +170,6 @@ def monomial_valuation(v, exponents) -> int:
 # contact loci
 # ---------------------------------------------------------------------------
 
-def contact_point_is_minimal(ideal: MonomialIdeal, n: int, v) -> bool:
-    """Exact per-point minimality: enumerate the bounded polytope of cone
-    points below v and look for another point of the same contact order."""
-    sigma = ideal.sigma
-    v = la.vec(v)
-    ell = positive_functional(sigma)
-    for j in range(1, la.dot(ell, v)):
-        for u in monoid_level_points(sigma, j):
-            if sigma.contains(la.vsub(v, u)) and ideal.min_pairing(u) == n:
-                return False
-    return True
-
-
 def contact_components(ideal: MonomialIdeal, n: int, buffer=None, level_cap=None):
     """Minimal lattice points v of {min pairing against the ideal == n}.
 
@@ -209,16 +177,21 @@ def contact_components(ideal: MonomialIdeal, n: int, buffer=None, level_cap=None
     found minimal point: any smaller contact point would itself dominate a
     minimal one at a strictly lower level (two distinct comparable points
     cannot share a level).  This is exactly the bounded-polytope test, run
-    incrementally.  The default budget scales the base budget by n: in any
-    Hilbert-basis decomposition of a minimal contact point every coefficient
-    is at most n, a repeated summand beyond that could be peeled off without
-    changing the contact order.
+    incrementally.  The default budget is n times the sum of the Hilbert
+    basis levels: in any Hilbert-basis decomposition of a minimal contact
+    point every coefficient is at most n, a repeated summand beyond that could
+    be peeled off without changing the contact order.  Budgets below 1 are
+    rejected.
     """
     if n < 1:
         raise ValidationError("contact order must be a positive integer")
+    for name, value in (("buffer", buffer), ("level_cap", level_cap)):
+        if value is not None and not (isinstance(value, int) and value >= 1):
+            raise ValidationError(f"{name} must be a positive integer")
     sigma = ideal.sigma
     if buffer is None:
-        buffer = max(1, n * _base_budget(sigma))
+        ell = positive_functional(sigma)
+        buffer = max(1, n * sum(la.dot(ell, h) for h in hilbert_basis(sigma)))
 
     out = []
     misses = 0
@@ -292,8 +265,8 @@ def _sample_rng(seed: int, index: int):
     return random.Random(seed * 1_000_003 + index)
 
 
-def certify_essential(locus: FaceLocus, samples: int = 3, seed: int = 0,
-                      buffer=None, level_cap=None) -> NashPairReport:
+def certify_essential(locus: FaceLocus, samples: int = 3,
+                      seed: int = 0) -> NashPairReport:
     """Certify the good-components/essential-divisors bijection on a pair.
 
     Computes the region minima, builds `samples` seed-varied locus
@@ -304,7 +277,7 @@ def certify_essential(locus: FaceLocus, samples: int = 3, seed: int = 0,
     if samples < 1:
         raise ValidationError("need at least one sample resolution")
     sigma = locus.cone
-    minima = minimal_region_points(locus, buffer=buffer, level_cap=level_cap)
+    minima = minimal_region_points(locus)
     subs = []
     for i in range(samples):
         subs.append(make_locus_resolution(sigma, locus, rng=_sample_rng(seed, i)))

@@ -1,9 +1,11 @@
 """Brute-force cross-checks used by the --oracle flag and the test suite.
 
-Each oracle enumerates a bounded level range outright and decides minimality
-by pairwise domination, independently of the breadth-first reduction logic in
-the main algorithms.  Both sides scan the same level range, so agreement is an
-exact equality of sets.
+Each oracle enumerates every cone point up to a level cap outright and decides
+minimality by pairwise domination, independently of the candidate sets and
+level scans of the main algorithms.  The default caps are proven level bounds:
+a region minimum uses each Hilbert basis element at most once, and a contact
+component of order n at most n times, or a repeated summand could be peeled
+off.  So agreement below them is an exact equality of sets.
 """
 
 from __future__ import annotations

@@ -196,8 +196,8 @@ class STVNashReport:
     bijective: bool
 
 
-def stv_nash_report(c: STVComplex, samples: int = 3, seed: int = 0,
-                    buffer=None, level_cap=None) -> STVNashReport:
+def stv_nash_report(c: STVComplex, samples: int = 3,
+                    seed: int = 0) -> STVNashReport:
     """Aggregate the per-component Nash certificates.
 
     Totals are disjoint-union sums over the components; a Nash-trivial
@@ -211,8 +211,7 @@ def stv_nash_report(c: STVComplex, samples: int = 3, seed: int = 0,
             reports.append(None)
             continue
         reports.append(certify_essential(pair.locus, samples=samples,
-                                         seed=seed, buffer=buffer,
-                                         level_cap=level_cap))
+                                         seed=seed))
     total = sum(len(r.minimal_points) for r in reports if r is not None)
     return STVNashReport(
         pairs=pairs,

@@ -184,10 +184,28 @@ def test_minimal_region_points_unimodular_equivariance():
         assert got == want
 
 
-def test_budget_exceeded():
-    from toricnash.errors import BudgetExceeded
-    with pytest.raises(BudgetExceeded):
-        nash.minimal_region_points(quadrant_full_locus(), buffer=50, level_cap=1)
+def test_minimal_region_points_4d_match_oracle():
+    """4d simplicial cones, checked against the brute force below the proven
+    level cap."""
+    simplex = Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                              (1, 2, 3, 7)])
+    orthant = Cone.from_rays(la.identity(4))
+    # only the fixed point marked: the one minimum is the sum of all four rays
+    cases = [face_locus(simplex, []),
+             face_locus(orthant, [cg.enumerate_faces(orthant)[-1]])]
+    rng = random.Random(131)
+    while len(cases) < 7:
+        rays = [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(4)]
+        if la.rank(rays) < 4:
+            continue
+        try:
+            cases.append(random_locus(rng, Cone.from_rays(rays, 4)))
+        except EmptyLocus:
+            continue
+    for y in cases:
+        want = oracle.brute_minimal_region_points(
+            y, oracle.default_region_cap(y))
+        assert nash.minimal_region_points(y) == want
 
 
 # -- ideals and the bridge property -------------------------------------------
@@ -202,8 +220,7 @@ def test_faces_to_ideal_quadrant_xray():
     assert ideal.generators == ((1, 0),)
 
 
-def test_bridge_property():
-    """Region membership == all generators pair >= 1 (checked on boxes)."""
+def bridge_cases():
     rng = random.Random(109)
     cases = [quadrant_full_locus(), quadrant_xray_locus(), face_locus(A1, []),
              face_locus(QUADRIC, [])]
@@ -213,10 +230,39 @@ def test_bridge_property():
             cases.append(random_locus(rng, c))
         except EmptyLocus:
             pass
-    for y in cases:
+    return cases
+
+
+def test_bridge_property():
+    """Region membership == all generators pair >= 1 (checked on boxes)."""
+    for y in bridge_cases():
         ideal = nash.faces_to_ideal(y)
         for v in cg.points_up_to_level(y.cone, 8):
             assert region_contains(y, v) == (ideal.min_pairing(v) >= 1)
+
+
+def test_faces_to_ideal_generators_minimal():
+    """The generators lie in the ideal, form an antichain under the dual-cone
+    order, and every ideal exponent in a box lies above one of them."""
+    for y in bridge_cases():
+        c = y.cone
+        sums = [tuple(map(sum, zip(*f.rays))) for f in y.minimal_faces()]
+
+        def in_ideal(u):
+            return (all(la.dot(u, r) >= 0 for r in c.rays)
+                    and all(la.dot(u, s) >= 1 for s in sums))
+
+        def below(u, w):
+            return all(la.dot(la.vsub(w, u), r) >= 0 for r in c.rays)
+
+        gens = nash.faces_to_ideal(y).generators
+        assert all(in_ideal(u) for u in gens)
+        for a in gens:
+            for b in gens:
+                assert a == b or not below(a, b)
+        for u in itertools.product(range(-3, 4), repeat=c.ambient_dim):
+            if in_ideal(u):
+                assert any(below(g, u) for g in gens)
 
 
 def test_contact_shadow_of_region():
@@ -256,6 +302,20 @@ def test_contact_components_examples():
     assert nash.contact_components(ideal2, 3) == ((3, 0),)
     with pytest.raises(ValidationError):
         nash.contact_components(ideal, 0)
+
+
+def test_budget_exceeded():
+    from toricnash.errors import BudgetExceeded
+    ideal = nash.MonomialIdeal(QUADRANT, ((1, 0), (0, 1)))
+    with pytest.raises(BudgetExceeded):
+        nash.contact_components(ideal, 1, level_cap=1)
+
+
+def test_contact_budgets_below_one_rejected():
+    ideal = nash.MonomialIdeal(QUADRANT, ((1, 0), (0, 1)))
+    for kwargs in ({"buffer": -5}, {"buffer": 0}, {"level_cap": 0}):
+        with pytest.raises(ValidationError):
+            nash.contact_components(ideal, 1, **kwargs)
 
 
 def test_contact_components_empty_locus():
@@ -320,6 +380,22 @@ def test_certify_essential_quadric():
     for ray, sub in report.avoided:
         assert ray not in sub.refined.rays()
         assert fs.is_locus_resolution(sub, y)
+
+
+def test_quadric_one_ray_loci_certify():
+    """Every one-ray locus of the quadric certifies, and (1,1,1) is avoided."""
+    for r in QUADRIC.rays:
+        y = face_locus(QUADRIC, [cg.face_spanned_by(QUADRIC, [r])])
+        avoided = [((1, 1, 1), fs.avoidance_resolution(QUADRIC, y, (1, 1, 1)))]
+        for seed in (0, 1, 5):
+            report = nash.certify_essential(y, samples=3, seed=seed)
+            assert report.minimal_points == (r,)
+            assert report.bijective
+            avoided += report.avoided
+        for ray, sub in avoided:
+            assert ray not in sub.refined.rays()
+            assert sub.validate()[0]
+            assert fs.is_locus_resolution(sub, y)
 
 
 # -- orbit closure order -----------------------------------------------------------
