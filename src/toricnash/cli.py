@@ -3,8 +3,8 @@
 Inputs are JSON documents with integer vectors; reports come out as aligned
 tables or canonical JSON (sorted keys, compact separators), so identical input
 and seed give byte-identical machine reports.  Exit codes: 0 success or
-bijective, 1 parse/validation error, 2 budget exceeded, 3 certification
-failure, 4 internal assertion.
+bijective, 1 usage, parse or validation error, 3 certification failure, 4
+internal assertion.  Code 2 is not used.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .cones import (
     multiplicity,
 )
 from .errors import (
-    BudgetExceeded,
     CertificationError,
     InputError,
     InternalError,
@@ -56,7 +55,6 @@ COMMANDS = ("info", "hilbert", "resolve", "nash", "contact", "stv-nash", "certif
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_BUDGET = 2
 EXIT_CERTIFY = 3
 EXIT_INTERNAL = 4
 
@@ -65,22 +63,37 @@ EXIT_INTERNAL = 4
 # parsing
 # ---------------------------------------------------------------------------
 
-def _as_vectors(value, what):
+def _is_int(x):
+    return type(x) is int  # JSON true/false must not pass as 1/0
+
+
+def _as_vectors(value, what, dim):
+    """A list of integer vectors of length dim."""
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a list of integer vectors")
     out = []
     for i, v in enumerate(value):
-        if not isinstance(v, list) or not all(isinstance(x, int) for x in v):
+        if not isinstance(v, list) or not all(_is_int(x) for x in v):
             raise ValidationError(f"{what}[{i}] must be a list of integers")
+        if len(v) != dim:
+            raise ValidationError(
+                f"{what}[{i}] has length {len(v)}, expected {dim}")
         out.append(tuple(v))
     return out
 
 
+def _as_indices(value, size, what):
+    """A list of integer indices into a sequence of the given size."""
+    if not isinstance(value, list) or \
+       not all(_is_int(t) and 0 <= t < size for t in value):
+        raise ValidationError(
+            f"{what} must be a list of indices in [0, {size})")
+    return value
+
+
 def _parse_cone_rays(rays, dim, where):
-    rays = _as_vectors(rays, where)
+    rays = _as_vectors(rays, where, dim)
     for i, r in enumerate(rays):
-        if len(r) != dim:
-            raise ValidationError(f"{where}[{i}] has length {len(r)}, expected {dim}")
         if la.is_zero(r):
             raise ValidationError(f"{where}[{i}] is the zero vector")
         if la.primitive_part(r) != r:
@@ -129,6 +142,18 @@ def _canonical_y(doc_y, cone, ray_order, locus):
     raise ValidationError(f"unrecognized y form {doc_y!r}")
 
 
+def _check_y_shape(y, dim, ray_order):
+    """Reject malformed face-index lists and exponents before locus_from_spec
+    reads them; other forms are left to locus_from_spec."""
+    if isinstance(y, dict) and "faces" in y:
+        if not isinstance(y["faces"], list):
+            raise ValidationError("y.faces must be a list of ray index lists")
+        for k, idxs in enumerate(y["faces"]):
+            _as_indices(idxs, len(ray_order), f"y.faces[{k}]")
+    elif isinstance(y, dict) and "ideal" in y:
+        _as_vectors(y["ideal"], "y.ideal", dim)
+
+
 def parse_input(text: str) -> InputDocument:
     """Parse and validate a JSON input document."""
     try:
@@ -141,7 +166,7 @@ def parse_input(text: str) -> InputDocument:
     if kind not in ("cone", "fan", "pair", "ideal-query", "stv"):
         raise ValidationError(f"unknown kind {kind!r}")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValidationError("dim must be a positive integer")
     options = data.get("options", {})
     if not isinstance(options, dict):
@@ -177,6 +202,7 @@ def parse_input(text: str) -> InputDocument:
             raise ValidationError("pair needs a cone object")
         cone, order = _parse_cone_rays(spec.get("rays"), dim, "cone.rays")
         y = data.get("y")
+        _check_y_shape(y, dim, order)
         locus = locus_from_spec(cone, y, ray_order=order)
         canonical = {"kind": kind, "dim": dim,
                      "cone": {"rays": [list(r) for r in cone.rays]},
@@ -189,10 +215,10 @@ def parse_input(text: str) -> InputDocument:
         if not isinstance(spec, dict):
             raise ValidationError("ideal-query needs a cone object")
         cone, order = _parse_cone_rays(spec.get("rays"), dim, "cone.rays")
-        gens = _as_vectors(data.get("ideal"), "ideal")
+        gens = _as_vectors(data.get("ideal"), "ideal", dim)
         ideal = MonomialIdeal(cone, tuple(gens))
         n = data.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValidationError("n must be a positive integer")
         canonical = {"kind": kind, "dim": dim,
                      "cone": {"rays": [list(r) for r in cone.rays]},
@@ -213,27 +239,24 @@ def parse_input(text: str) -> InputDocument:
                                        f"components[{k}].rays")
         comps.append(cone)
         orders.append(order)
+    raw = data.get("gluings", [])
+    if not isinstance(raw, list):
+        raise ValidationError("gluings must be a list of objects")
     gluings = []
-    for k, g in enumerate(data.get("gluings", [])):
+    for k, g in enumerate(raw):
         where = f"gluings[{k}]"
         if not isinstance(g, dict):
             raise ValidationError(f"{where} must be an object")
-        try:
-            i, j = int(g["i"]), int(g["j"])
-            fi, fj = g["face_i"], g["face_j"]
-            matrix = g["matrix"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{where} is malformed: {exc}")
-        if not (0 <= i < len(comps) and 0 <= j < len(comps)):
-            raise ValidationError(f"{where}: component index out of range")
-        try:
-            rays_i = tuple(orders[i][t] for t in fi)
-            rays_j = tuple(orders[j][t] for t in fj)
-        except (IndexError, TypeError):
-            raise ValidationError(f"{where}: bad face ray indices")
-        if not isinstance(matrix, list):
-            raise ValidationError(f"{where}: matrix must be a list of rows")
-        gluings.append(Gluing(i, j, rays_i, rays_j, matrix))
+        i, j = g.get("i"), g.get("j")
+        if not all(_is_int(x) and 0 <= x < len(comps) for x in (i, j)):
+            raise ValidationError(
+                f"{where}: i and j must be component indices in "
+                f"[0, {len(comps)})")
+        fi = _as_indices(g.get("face_i"), len(orders[i]), f"{where}.face_i")
+        fj = _as_indices(g.get("face_j"), len(orders[j]), f"{where}.face_j")
+        matrix = _as_vectors(g.get("matrix"), f"{where}.matrix", dim)
+        gluings.append(Gluing(i, j, tuple(orders[i][t] for t in fi),
+                              tuple(orders[j][t] for t in fj), matrix))
     complex_ = STVComplex(dim, comps, gluings)
     ok, diag = validate_complex(complex_)
     if not ok:
@@ -331,8 +354,7 @@ def run_command(doc: InputDocument, command: str, options=None) -> ReportDocumen
     """Dispatch a parsed document to the matching library operation."""
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    opts = {"samples": 3, "buffer": None, "level_cap": None, "seed": 0,
-            "oracle": False}
+    opts = {"samples": 3, "seed": 0, "oracle": False}
     for k, v in doc.options.items():
         if k not in opts:
             raise ValidationError(f"unknown option {k!r} in document")
@@ -341,13 +363,12 @@ def run_command(doc: InputDocument, command: str, options=None) -> ReportDocumen
         for k, v in options.items():
             if v is not None:
                 opts[k] = v
-    shown = ("samples", "buffer", "level_cap")
-    if command != "contact":
-        shown = ("samples",)
-        for k in ("buffer", "level_cap"):
-            if opts[k] is not None:
-                raise ValidationError(
-                    f"option {k!r} applies only to the contact command")
+    if not (_is_int(opts["samples"]) and opts["samples"] >= 1):
+        raise ValidationError("samples must be a positive integer")
+    if not _is_int(opts["seed"]):
+        raise ValidationError("seed must be an integer")
+    if not isinstance(opts["oracle"], bool):
+        raise ValidationError("oracle must be true or false")
 
     results = {}
     if command == "info":
@@ -367,9 +388,7 @@ def run_command(doc: InputDocument, command: str, options=None) -> ReportDocumen
     elif command == "contact":
         if doc.ideal is None:
             raise ValidationError("contact needs an ideal-query document")
-        comps = contact_components(doc.ideal, doc.order,
-                                   buffer=opts["buffer"],
-                                   level_cap=opts["level_cap"])
+        comps = contact_components(doc.ideal, doc.order)
         results = {"n": doc.order, "components": [list(v) for v in comps],
                    "count": len(comps)}
         if opts["oracle"]:
@@ -391,7 +410,7 @@ def run_command(doc: InputDocument, command: str, options=None) -> ReportDocumen
         command=command,
         version=__version__,
         seed=opts["seed"],
-        options={k: opts[k] for k in shown},
+        options={"samples": opts["samples"]},
         input_hash=doc.input_hash(),
         input=doc.canonical,
         results=results,
@@ -593,8 +612,14 @@ def _push_bijective(push, bijective, missing):
 # entry point
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # usage errors exit 1 through main's handler, not argparse's exit 2
+        raise ParseError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="toric-nash",
         description="Exact Nash-problem computations for toric pairs and "
                     "stable toric varieties.")
@@ -602,26 +627,21 @@ def _build_parser():
     p.add_argument("--input", required=True, help="path to a JSON document")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--buffer", type=int, default=None,
-                   help="contact only: levels scanned past the last new point")
-    p.add_argument("--level-cap", type=int, default=None, dest="level_cap",
-                   help="contact only: highest level scanned (exit 2 when hit)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--oracle", action="store_true", default=None)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read input: {exc}")
         doc = parse_input(text)
-        options = {"samples": args.samples, "buffer": args.buffer,
-                   "level_cap": args.level_cap, "seed": args.seed,
+        options = {"samples": args.samples, "seed": args.seed,
                    "oracle": args.oracle}
         report = run_command(doc, args.command, options)
         sys.stdout.write(emit_report(report, args.format))
@@ -635,9 +655,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INPUT
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
     except CertificationError as exc:
         sys.stderr.write(f"NOT BIJECTIVE: certification failed: {exc}\n")
         return EXIT_CERTIFY

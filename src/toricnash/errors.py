@@ -1,4 +1,4 @@
-"""Exception hierarchy; the four subtrees map onto the CLI exit-code contract."""
+"""Exception hierarchy; the three subtrees map onto the CLI exit-code contract."""
 
 
 class ToricNashError(Exception):
@@ -72,10 +72,6 @@ class NotProper(ValidationError):
 
 class EmptyLocus(ValidationError):
     """The cone is smooth and no face was marked, so no proper locus exists."""
-
-
-class BudgetExceeded(ToricNashError):
-    """A configured enumeration cap was hit before termination (exit code 2)."""
 
 
 class CertificationError(ToricNashError):

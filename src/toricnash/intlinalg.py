@@ -307,20 +307,6 @@ def solve_in_basis(basis, x):
     return tuple(int(v) for v in y)
 
 
-def kernel_basis(A) -> Mat:
-    """Basis (rows) of the saturated lattice {x : A x = 0}."""
-    A = mat(A)
-    if not A:
-        return ()
-    m = len(A)
-    n = len(A[0])
-    D, _, V = smith_normal_form(A)
-    d = diagonal(D)
-    cols = [i for i in range(n) if i >= len(d) or d[i] == 0]
-    Vt = transpose(V)
-    return tuple(Vt[i] for i in cols)
-
-
 def saturation_basis(vectors) -> Mat:
     """Canonical (HNF) basis of (Q-span of the vectors) intersected with Z^d."""
     vectors = mat(vectors)

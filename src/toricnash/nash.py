@@ -6,9 +6,9 @@ Region minima come from a finite candidate set: the half-open parallelepiped
 points of the simplices of one triangulation, each raised by simplex rays into
 a marked simplex face, then one exact minimality test (see
 minimal_region_points).  The generators of the ideal of a locus are the region
-minima of a marked-face family on the dual cone.  Contact loci are still found
-breadth-first by levels of the cone's grading functional, under a level budget
-that scales with the contact order.
+minima of a marked-face family on the dual cone.  Contact loci are found
+breadth-first by levels of the cone's grading functional, up to a proven level
+cap that scales with the contact order (see contact_components).
 """
 
 from __future__ import annotations
@@ -26,18 +26,13 @@ from .cones import (
     enumerate_faces,
     face_spanned_by,
     hilbert_basis,
-    monoid_level_points,
     parallelepiped_points,
+    points_up_to_level,
     positive_functional,
     smallest_containing_face,
     triangulate,
 )
-from .errors import (
-    BudgetExceeded,
-    EmptyLocus,
-    ValidationError,
-    ZeroFunction,
-)
+from .errors import EmptyLocus, ValidationError, ZeroFunction
 from .fans import Fan, Subdivision, avoidance_resolution, make_locus_resolution
 from .locus import (
     FaceLocus,
@@ -50,8 +45,6 @@ from .locus import (
 )
 
 Vec = la.Vec
-
-_DEFAULT_LEVEL_CAP = 10_000
 
 
 def minimal_region_points(locus: FaceLocus | MarkedFaces):
@@ -170,47 +163,34 @@ def monomial_valuation(v, exponents) -> int:
 # contact loci
 # ---------------------------------------------------------------------------
 
-def contact_components(ideal: MonomialIdeal, n: int, buffer=None, level_cap=None):
-    """Minimal lattice points v of {min pairing against the ideal == n}.
+def contact_components(ideal: MonomialIdeal, n: int):
+    """Minimal lattice points v of {ord(v) == n}, where ord(v) is the least
+    pairing of v against the ideal's generators.
+
+    The components lie at levels at most n times the sum of the Hilbert basis
+    levels.  Write a minimal contact point v as a sum of Hilbert basis
+    elements and suppose some h is used more than n times.  For each generator
+    u, either <h, u> = 0 and <v - h, u> = <v, u> >= n, or <h, u> >= 1 and
+    <v - h, u> >= n <h, u> >= n, since v - h still holds at least n copies of
+    h.  So ord(v - h) >= n; and ord is monotone in the cone order, so
+    ord(v - h) <= ord(v) = n, and v - h is a contact point below v, against
+    minimality.  Hence every coefficient is at most n.
 
     Scanning levels upward, a point is minimal iff it dominates no previously
     found minimal point: any smaller contact point would itself dominate a
     minimal one at a strictly lower level (two distinct comparable points
-    cannot share a level).  This is exactly the bounded-polytope test, run
-    incrementally.  The default budget is n times the sum of the Hilbert
-    basis levels: in any Hilbert-basis decomposition of a minimal contact
-    point every coefficient is at most n, a repeated summand beyond that could
-    be peeled off without changing the contact order.  Budgets below 1 are
-    rejected.
+    cannot share a level).
     """
     if n < 1:
         raise ValidationError("contact order must be a positive integer")
-    for name, value in (("buffer", buffer), ("level_cap", level_cap)):
-        if value is not None and not (isinstance(value, int) and value >= 1):
-            raise ValidationError(f"{name} must be a positive integer")
     sigma = ideal.sigma
-    if buffer is None:
-        ell = positive_functional(sigma)
-        buffer = max(1, n * sum(la.dot(ell, h) for h in hilbert_basis(sigma)))
-
+    ell = positive_functional(sigma)
+    cap = n * sum(la.dot(ell, h) for h in hilbert_basis(sigma))
     out = []
-    misses = 0
-    k = 1
-    while misses < buffer:
-        if level_cap is not None and k > level_cap:
-            raise BudgetExceeded(
-                f"level cap {level_cap} hit with {len(out)} components found")
-        if k > _DEFAULT_LEVEL_CAP:
-            raise BudgetExceeded("default level cap hit")
-        new = [v for v in monoid_level_points(sigma, k)
-               if ideal.min_pairing(v) == n
-               and not any(cone_leq(sigma, m, v) for m in out)]
-        if new:
-            out.extend(new)
-            misses = 0
-        else:
-            misses += 1
-        k += 1
+    for v in points_up_to_level(sigma, cap):
+        if ideal.min_pairing(v) == n and not any(cone_leq(sigma, m, v)
+                                                 for m in out):
+            out.append(v)
     return tuple(sorted(out))
 
 
@@ -231,7 +211,6 @@ class MinimalityWitness:
 class EssentialCertificate:
     point: Vec
     witnesses: tuple
-    sample_resolutions: tuple
 
 
 @dataclass(frozen=True)
@@ -291,7 +270,7 @@ def certify_essential(locus: FaceLocus, samples: int = 3,
                        if r not in minima and region_contains(locus, r)})
     avoided = tuple((r, avoidance_resolution(sigma, locus, r)) for r in to_avoid)
     certs = tuple(
-        EssentialCertificate(w, _minimality_witnesses(locus, w), tuple(subs))
+        EssentialCertificate(w, _minimality_witnesses(locus, w))
         for w in minima)
     return NashPairReport(
         locus=locus,

@@ -1,11 +1,14 @@
 """Brute-force cross-checks used by the --oracle flag and the test suite.
 
 Each oracle enumerates every cone point up to a level cap outright and decides
-minimality by pairwise domination, independently of the candidate sets and
-level scans of the main algorithms.  The default caps are proven level bounds:
-a region minimum uses each Hilbert basis element at most once, and a contact
-component of order n at most n times, or a repeated summand could be peeled
-off.  So agreement below them is an exact equality of sets.
+minimality by pairwise domination, independently of the candidate set of
+minimal_region_points and of the incremental minimality test of
+contact_components.  The default caps are proven level bounds: a region
+minimum uses each Hilbert basis element at most once, and a contact component
+of order n at most n times, or a repeated summand could be peeled off.  So
+agreement below them is an exact equality of sets.  The contact cap is the
+same bound contact_components scans to, so for contact loci what the oracle
+checks independently is minimality, not the cap.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ def brute_contact_components(ideal: MonomialIdeal, n: int, cap: int):
 
 
 def default_contact_cap(ideal: MonomialIdeal, n: int) -> int:
-    """Level bound below which every minimal contact point lives (see the
-    budget discussion in the nash module)."""
+    """Level bound below which every minimal contact point lives; the proof
+    is in the docstring of nash.contact_components."""
     from .cones import hilbert_basis
     sigma = ideal.sigma
     ell = positive_functional(sigma)

@@ -11,6 +11,11 @@ QUADRIC_PAIR = {"kind": "pair", "dim": 3,
 A1_IDEAL = {"kind": "ideal-query", "dim": 2,
             "cone": {"rays": [[1, 0], [1, 2]]},
             "ideal": [[0, 1], [1, 0], [2, -1]], "n": 2}
+PLANES_ALONG_LINE = {"kind": "stv", "dim": 2,
+                     "components": [{"rays": [[1, 0], [0, 1]]},
+                                    {"rays": [[-1, 0], [0, 1]]}],
+                     "gluings": [{"i": 0, "j": 1, "face_i": [1], "face_j": [1],
+                                  "matrix": [[1, 0], [0, 1]]}]}
 
 
 def run(tmp_path, capsys, command, doc, *extra):
@@ -49,28 +54,87 @@ def test_nash_and_contact_results(tmp_path, capsys):
     assert json.loads(out.out)["results"]["components"] == [[2, 2]]
 
 
-@pytest.mark.parametrize("command, doc", [("nash", QUADRIC_PAIR),
-                                          ("certify", QUADRIC_PAIR),
-                                          ("info", A1_IDEAL)])
-def test_budget_options_only_for_contact(tmp_path, capsys, command, doc):
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_budget_options_rejected(tmp_path, capsys, command):
+    doc = {"contact": A1_IDEAL, "stv-nash": PLANES_ALONG_LINE}.get(
+        command, QUADRIC_PAIR)
+    code, _ = run(tmp_path, capsys, command, doc)
+    assert code == cli.EXIT_OK
     for flag in ("--buffer", "--level-cap"):
         code, out = run(tmp_path, capsys, command, doc, flag, "5")
         assert code == cli.EXIT_INPUT
-        assert "applies only to the contact command" in out.err
+        assert flag in out.err
     for key in ("buffer", "level_cap"):
         code, out = run(tmp_path, capsys, command,
                         dict(doc, options={key: 5}))
         assert code == cli.EXIT_INPUT
-        assert "applies only to the contact command" in out.err
+        assert f"unknown option {key!r}" in out.err
 
 
-def test_contact_budgets_below_one(tmp_path, capsys):
-    code, out = run(tmp_path, capsys, "contact", A1_IDEAL, "--buffer", "-5")
+@pytest.mark.parametrize("argv", [
+    ["nash"], ["nash", "--input"], ["frobnicate", "--input", "x.json"],
+    ["nash", "--input", "x.json", "--samples", "many"],
+    ["nash", "--input", "x.json", "--verbose"]])
+def test_usage_errors_exit_input(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "usage: toric-nash" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("options", [
+    {"seed": "x"}, {"seed": True}, {"samples": "3"}, {"samples": None},
+    {"samples": True}, {"samples": 0}, {"oracle": "no"}, {"oracle": 1}])
+def test_bad_option_values_rejected(tmp_path, capsys, options):
+    code, out = run(tmp_path, capsys, "nash", dict(QUADRIC_PAIR, options=options))
     assert code == cli.EXIT_INPUT
-    assert "buffer must be a positive integer" in out.err
-    code, out = run(tmp_path, capsys, "contact",
-                    dict(A1_IDEAL, options={"level_cap": 0}))
-    assert code == cli.EXIT_INPUT
-    assert "level_cap must be a positive integer" in out.err
-    code, _ = run(tmp_path, capsys, "contact", A1_IDEAL, "--level-cap", "1")
-    assert code == cli.EXIT_BUDGET
+    assert f"{next(iter(options))} must be" in out.err
+
+
+SMALL_DOCS = [
+    {"kind": "cone", "dim": 2, "rays": [[1, 0], [1, 2]],
+     "options": {"samples": 1, "seed": 0, "oracle": False}},
+    {"kind": "fan", "dim": 2, "cones": [[[1, 0], [1, 1]], [[1, 1], [0, 1]]]},
+    {"kind": "pair", "dim": 2, "cone": {"rays": [[1, 0], [1, 2]]},
+     "y": {"faces": [[0]]}},
+    {"kind": "pair", "dim": 2, "cone": {"rays": [[1, 0], [1, 2]]},
+     "y": {"ideal": [[0, 1], [1, 0]]}},
+    A1_IDEAL,
+    PLANES_ALONG_LINE,
+]
+MUTANTS = [True, None, "x", "1", 1.5, -1, 0, [], {}, [1], [[1, 0]]]
+
+
+def _replace_each_node(doc):
+    """Every copy of doc with exactly one node (the root included) replaced by
+    one of MUTANTS."""
+    yield from MUTANTS
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+    else:
+        return
+    for key, child in items:
+        for new in _replace_each_node(child):
+            copy = json.loads(json.dumps(doc))
+            copy[key] = new
+            yield copy
+
+
+def test_single_node_mutations_never_raise(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    seen = 0
+    for doc in SMALL_DOCS:
+        for mutant in _replace_each_node(doc):
+            path.write_text(json.dumps(mutant))
+            code = cli.main(["info", "--input", str(path)])
+            err = capsys.readouterr().err
+            assert code in (cli.EXIT_OK, cli.EXIT_INPUT), (mutant, err)
+            seen += 1
+    assert seen > 1000
