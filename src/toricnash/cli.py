@@ -29,6 +29,7 @@ from .errors import (
     CertificationError,
     InputError,
     InternalError,
+    NonPointed,
     ParseError,
     ToricNashError,
     ValidationError,
@@ -101,6 +102,9 @@ def _parse_cone_rays(rays, dim, where):
     if len(set(rays)) != len(rays):
         raise ValidationError(f"{where} contains a duplicate ray direction")
     cone = Cone.from_rays(rays, dim)
+    if not cone.is_pointed:
+        raise NonPointed(f"{where} spans a cone that is not pointed: it "
+                         f"contains the line through {list(cone.lines[0])}")
     if set(cone.rays) != set(rays):
         extra = [list(r) for r in rays if r not in set(cone.rays)]
         raise ValidationError(f"{where} contains non-extreme rays: {extra}")

@@ -3,8 +3,8 @@
 A Cone is stored canonically: primitive extreme rays sorted lexicographically,
 a Hermite-form basis of the lineality lattice (empty when pointed), plus
 facet normals and span equations obtained from the dual description.  All
-derived data (faces, Hilbert basis, grading functional) is computed lazily and
-cached idempotently, so concurrent readers are safe.
+derived data (faces, Hilbert basis, grading functional, multiplicity) is
+computed lazily and cached idempotently, so concurrent readers are safe.
 
 Duality is computed with an exact double description method; supported ambient
 dimension is small (the library targets desk-scale instances of dimension <= 6).
@@ -127,7 +127,7 @@ class Cone:
     """
 
     __slots__ = ("_ambient", "_rays", "_lines", "_normals", "_span_eqs",
-                 "_faces", "_hb", "_ell", "_levels", "_key", "_hash")
+                 "_faces", "_hb", "_ell", "_mult", "_levels", "_key", "_hash")
 
     def __init__(self, ambient, rays, lines, normals, span_eqs):
         self._ambient = ambient
@@ -138,6 +138,7 @@ class Cone:
         self._faces = None
         self._hb = None
         self._ell = None
+        self._mult = None
         self._levels = None
         self._key = (ambient, rays, lines)
         self._hash = hash(self._key)
@@ -267,13 +268,14 @@ class Face:
     zero and all others strictly positive.
     """
 
-    __slots__ = ("parent", "rays", "zero_normals", "_cone", "_hash")
+    __slots__ = ("parent", "rays", "zero_normals", "_cone", "_dim", "_hash")
 
     def __init__(self, parent, rays, zero_normals):
         self.parent = parent
         self.rays = tuple(sorted(rays))
         self.zero_normals = tuple(sorted(zero_normals))
         self._cone = None
+        self._dim = None
         self._hash = hash((parent, self.rays))
 
     def __eq__(self, other):
@@ -288,7 +290,11 @@ class Face:
 
     @property
     def dim(self):
-        return self.as_cone().dim
+        # a face of a pointed cone is spanned by its extreme rays, so this
+        # needs no double description
+        if self._dim is None:
+            self._dim = la.rank(self.rays)
+        return self._dim
 
     def as_cone(self) -> Cone:
         if self._cone is None:
@@ -326,14 +332,14 @@ def enumerate_faces(c: Cone):
                     nxt.add(t)
         frontier = nxt - sets
     faces = [_face_from_rays(c, sorted(s)) for s in sets]
-    faces.sort(key=lambda f: (f.as_cone().dim, f.rays))
+    faces.sort(key=lambda f: (f.dim, f.rays))
     c._faces = tuple(faces)
     return c._faces
 
 
 def facets(c: Cone):
     d = c.dim
-    return tuple(f for f in enumerate_faces(c) if f.as_cone().dim == d - 1)
+    return tuple(f for f in enumerate_faces(c) if f.dim == d - 1)
 
 
 def face_spanned_by(c: Cone, vectors) -> Face:
@@ -378,15 +384,15 @@ def multiplicity(c: Cone) -> int:
     c._require_pointed()
     if not c.is_simplicial:
         raise NotSimplicial(f"{c!r} is not simplicial")
-    if not c.rays:
-        return 1
-    return la.sublattice_index(c.rays)
+    if c._mult is None:
+        c._mult = la.sublattice_index(c.rays) if c.rays else 1
+    return c._mult
 
 
 def is_smooth(c: Cone) -> bool:
     """True iff the primitive rays extend to a basis of the ambient lattice."""
     c._require_pointed()
-    return c.is_simplicial and (not c.rays or la.sublattice_index(c.rays) == 1)
+    return c.is_simplicial and multiplicity(c) == 1
 
 
 def triangulate(c: Cone):

@@ -83,11 +83,25 @@ class MinimalPoint(CertificationError):
 
 
 class ConstructionFailed(CertificationError):
-    """Every attempted avoidance construction failed; details in the message."""
+    """An avoidance construction failed.
+
+    `point` is the ray to avoid, when known; `attempts` holds one
+    (n1, n2, error) per decomposition point = n1 + n2 that was tried.
+    """
+
+    def __init__(self, message, point=None, attempts=()):
+        self.point = point
+        self.attempts = tuple(attempts)
+        super().__init__(message)
 
 
 class ForbiddenBlocksResolution(CertificationError):
-    """Every admissible subdivision center at some step was forbidden."""
+    """Every admissible subdivision center of `cone` was in `forbidden`."""
+
+    def __init__(self, message, cone=None, forbidden=()):
+        self.cone = cone
+        self.forbidden = tuple(sorted(forbidden))
+        super().__init__(message)
 
 
 class InternalError(ToricNashError):

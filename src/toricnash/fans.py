@@ -1,6 +1,16 @@
 """Fans, refinements, star subdivisions, smooth resolution, and the locus
 resolutions with the ray-avoidance construction.
 
+A star subdivision at v replaces each cone c containing v by the joins of v
+with the facets of c that avoid v, the facets whose normal pairs positively
+with v (Fulton, Introduction to Toric Varieties, section 2.6).  Every face of
+c avoiding v lies in such a facet, so these joins are the maximal pieces;
+they have disjoint interiors and full dimension in c, and are built without
+the pairwise containment pruning of the public Fan constructor.  Pulling at
+an existing ray is the same operation; pulling every ray once, in one global
+order, triangulates any fan without new rays (De Loera, Rambau and Santos,
+Triangulations, ch. 4), which is how simplicialize works.
+
 All subdivision routines are deterministic; an optional random.Random instance
 varies the admissible tie-breaks, which is how seed-varied sample resolutions
 are produced.  Every construction re-checks its own output instead of trusting
@@ -9,6 +19,7 @@ the recipe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
 
@@ -69,9 +80,19 @@ class Fan:
                    for d in cones):
                 continue
             keep.append(c)
-        uniq = sorted(set(keep), key=lambda c: c.rays)
+        self._set(ambient_dim, set(keep))
+
+    @classmethod
+    def _of_maximal(cls, ambient_dim, cones) -> "Fan":
+        """A fan from pointed cones already known to be maximal and distinct,
+        as star subdivisions produce them: no pruning, no checks."""
+        fan = object.__new__(cls)
+        fan._set(ambient_dim, cones)
+        return fan
+
+    def _set(self, ambient_dim, cones):
         self._dim = ambient_dim
-        self._max = tuple(uniq)
+        self._max = tuple(sorted(cones, key=lambda c: c.rays))
         self._all = None
         self._rays = None
         self._key = (ambient_dim, tuple(c._key for c in self._max))
@@ -208,17 +229,18 @@ def _support_equality_problems(base: Fan, refined: Fan):
 # ---------------------------------------------------------------------------
 
 def _star_refine(fan: Fan, v: Vec) -> Fan:
-    """Join every cone containing v with its faces avoiding v (pull at v)."""
+    """Join every cone containing v with its facets avoiding v (pull at v)."""
+    dim = fan.ambient_dim
     new_max = []
     for c in fan.max_cones:
         if not c.contains(v):
             new_max.append(c)
             continue
-        for f in enumerate_faces(c):
-            if f.as_cone().contains(v):
-                continue
-            new_max.append(Cone.from_rays(f.rays + (v,), fan.ambient_dim))
-    return Fan(fan.ambient_dim, new_max)
+        for u in c.facet_normals:
+            if la.dot(u, v) > 0:
+                new_max.append(Cone.from_rays(
+                    [r for r in c.rays if la.dot(u, r) == 0] + [v], dim))
+    return Fan._of_maximal(dim, new_max)
 
 
 def star_subdivide(fan: Fan, v) -> Subdivision:
@@ -279,17 +301,27 @@ def minimal_regular_subdivision_2d(c: Cone) -> Subdivision:
 # ---------------------------------------------------------------------------
 
 def simplicialize(fan: Fan, rng=None) -> Subdivision:
-    """Make every cone simplicial by pulling at existing rays (no new rays)."""
+    """Make every cone simplicial by pulling at existing rays (no new rays).
+
+    A simplicial fan is returned as it is.  Otherwise every ray of the fan is
+    pulled once, in sorted order or in an order shuffled by rng.  One pass
+    suffices: pulling v makes it an apex of every piece containing v, outside
+    the span of the piece's other rays, and later pulls only cut such a piece
+    into joins of v with pieces of its base, so v stays an apex.  Once every
+    ray is an apex of every piece holding it, each piece's rays are linearly
+    independent.
+    """
+    if all(c.is_simplicial for c in fan.max_cones):
+        return Subdivision(fan, fan, ())
+    order = list(fan.rays())
+    if rng is not None:
+        rng.shuffle(order)
     current = fan
-    for _ in range(_MAX_RESOLUTION_ROUNDS):
-        bad = sorted((c for c in current.max_cones if not c.is_simplicial),
-                     key=lambda c: c.rays)
-        if not bad:
-            return Subdivision(fan, current, ())
-        target = bad[0] if rng is None else rng.choice(bad)
-        ray = target.rays[0] if rng is None else rng.choice(sorted(target.rays))
+    for ray in order:
         current = _star_refine(current, ray)
-    raise InternalError("simplicialization did not terminate")
+    if not all(c.is_simplicial for c in current.max_cones):
+        raise InternalError("pulling every ray left a non-simplicial cone")
+    return Subdivision(fan, current, ())
 
 
 def _subdivision_candidates(c: Cone):
@@ -333,7 +365,8 @@ def resolve_smooth(fan: Fan, forbidden=(), rng=None) -> Subdivision:
                      if target.relint_contains(h) and h not in forbidden]
         if not cands:
             raise ForbiddenBlocksResolution(
-                f"every admissible center of {list(target.rays)} is forbidden")
+                f"every admissible center of {list(target.rays)} is forbidden",
+                cone=target, forbidden=forbidden)
         pick = cands[0] if rng is None else rng.choice(cands)
         center = la.primitive_part(pick)
         added.append(center)
@@ -346,18 +379,21 @@ def resolve_smooth(fan: Fan, forbidden=(), rng=None) -> Subdivision:
 # ---------------------------------------------------------------------------
 
 def _locus_offenders(fan: Fan, locus: FaceLocus):
-    """Cones violating the divisor condition: the relative interior maps into
-    the marked region, but no ray of the cone does."""
-    out = []
-    for c in fan.all_cones():
-        if not c.rays:
-            continue
-        if not marks_cone(locus, c.rays):
-            continue
-        if any(marks_cone(locus, (r,)) for r in c.rays):
-            continue
-        out.append(c)
-    return out
+    """Ray sets of the cones violating the divisor condition: the relative
+    interior maps into the marked region, but no ray of the cone does.
+
+    The fan must be simplicial.  Then every subset of a maximal cone's rays
+    spans a face, so the offenders are the marking subsets of each maximal
+    cone's unmarked rays.  Sorted by (dimension, rays).
+    """
+    out = set()
+    for c in fan.max_cones:
+        free = [r for r in c.rays if not marks_cone(locus, (r,))]
+        for k in range(2, len(free) + 1):
+            for rays in itertools.combinations(free, k):
+                if marks_cone(locus, rays):
+                    out.add(rays)
+    return sorted(out, key=lambda rays: (len(rays), rays))
 
 
 def is_locus_resolution(sub: Subdivision, locus: FaceLocus) -> bool:
@@ -389,7 +425,8 @@ def _relint_point_candidates(c: Cone, forbidden):
         level += 1
         if level > bound + 10 * (1 + len(forbidden)):
             raise ForbiddenBlocksResolution(
-                f"no admissible interior point in {list(c.rays)}")
+                f"no admissible interior point in {list(c.rays)}",
+                cone=c, forbidden=forbidden)
 
 
 def _ray_sum(c: Cone) -> Vec:
@@ -422,11 +459,11 @@ def make_locus_resolution(sigma: Cone, locus: FaceLocus, forbidden=(),
             if not is_locus_resolution(sub, locus):
                 raise InternalError("constructed subdivision failed its own check")
             return sub
-        top = max(c.dim for c in offenders)
-        ties = sorted((c for c in offenders if c.dim == top),
-                      key=lambda c: c.rays)
+        top = len(offenders[-1])
+        ties = [rays for rays in offenders if len(rays) == top]
         target = ties[0] if rng is None else rng.choice(ties)
-        pts = _relint_point_candidates(target, forbidden)
+        pts = _relint_point_candidates(Cone.from_rays(target, sigma.ambient_dim),
+                                       forbidden)
         pick = pts[0] if rng is None else rng.choice(pts)
         current = _star_refine(current, la.primitive_part(pick))
         current = resolve_smooth(current, forbidden, rng).refined
@@ -472,14 +509,16 @@ def avoidance_resolution(sigma: Cone, locus: FaceLocus, w) -> Subdivision:
         raise NotInRegion(f"{w} is not in the marked region")
     if is_minimal_in_region(locus, w):
         raise MinimalPoint(f"{w} is minimal; every resolution contains it")
-    failures = []
+    attempts = []
     for n1, n2 in _decompositions(sigma, locus, w):
         try:
             return _avoid_with(sigma, locus, w, n1, n2)
         except (ConstructionFailed, ForbiddenBlocksResolution, InternalError) as exc:
-            failures.append(f"{n1}+{n2}: {exc}")
+            attempts.append((n1, n2, exc))
+    tried = "; ".join(f"{n1} + {n2}: {exc}" for n1, n2, exc in attempts)
     raise ConstructionFailed(
-        f"all decompositions of {w} exhausted: {failures!r}")
+        f"all {len(attempts)} decompositions of {w} failed"
+        + (f": {tried}" if tried else ""), point=w, attempts=attempts)
 
 
 def _avoid_with(sigma: Cone, locus: FaceLocus, w, n1, n2) -> Subdivision:
@@ -496,7 +535,8 @@ def _avoid_with(sigma: Cone, locus: FaceLocus, w, n1, n2) -> Subdivision:
             ray_holder = next((c for c in sub2.refined.all_cones()
                                if c.dim == 1 and c.relint_contains(w)), None)
             if ray_holder is None:
-                raise ConstructionFailed(f"{w} not interior to any piece")
+                raise ConstructionFailed(f"{w} not interior to any piece",
+                                         point=w)
             centers = list(ray_holder.rays)
         else:
             centers = list(holder.rays)
@@ -504,5 +544,6 @@ def _avoid_with(sigma: Cone, locus: FaceLocus, w, n1, n2) -> Subdivision:
         fan = _star_refine(fan, center)
     result = make_locus_resolution(sigma, locus, forbidden=(w,), start=fan)
     if w in result.refined.rays():
-        raise ConstructionFailed(f"completion re-introduced the ray {w}")
+        raise ConstructionFailed(f"completion re-introduced the ray {w}",
+                                 point=w)
     return result

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DependentGenerators, ZeroVector
+from .errors import DependentGenerators, ValidationError, ZeroVector
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -18,6 +18,15 @@ Mat = tuple[Vec, ...]
 
 def vec(xs) -> Vec:
     return tuple(int(x) for x in xs)
+
+
+def strict_vec(xs, what="vector") -> Vec:
+    """xs as a Vec, for input checks at library entry points: unlike vec(),
+    which coerces, it rejects any entry that is not an int (bools too)."""
+    if not isinstance(xs, (tuple, list)) or \
+       not all(type(x) is int for x in xs):
+        raise ValidationError(f"{what} must be a sequence of ints, got {xs!r}")
+    return tuple(xs)
 
 
 def mat(rows) -> Mat:

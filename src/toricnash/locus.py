@@ -5,6 +5,12 @@ invariant subset containing the singular locus.  Combinatorially the subset is
 an upward-closed family of faces (a face is marked when its orbit lies in the
 subset); the lattice points whose arcs land in the subset form the union of
 the relative interiors of the marked faces.
+
+Region tests work on facet-normal bitmasks: bit i of a point's mask is set iff
+the i-th facet normal of the cone vanishes on it.  The normals vanishing on a
+face are those vanishing on any relative-interior point of it, so points of
+the cone span the face whose mask is the AND of their masks, and a face is
+marked iff its mask is among the marked masks.
 """
 
 from __future__ import annotations
@@ -12,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import intlinalg as la
-from .cones import (
-    Cone,
-    Face,
-    enumerate_faces,
-    face_spanned_by,
-    hilbert_basis,
-    is_smooth,
-    smallest_containing_face,
-)
+from .cones import Cone, Face, enumerate_faces, hilbert_basis, is_smooth
 from .errors import EmptyLocus, NotInRegion, NotProper, ValidationError
 
 Vec = la.Vec
@@ -32,8 +30,36 @@ def singular_faces(sigma: Cone):
     return frozenset(f for f in enumerate_faces(sigma) if not is_smooth(f.as_cone()))
 
 
+def _zero_mask(normals, v):
+    """Bit i is set iff normals[i] vanishes on v; None if one is negative."""
+    mask = 0
+    for i, u in enumerate(normals):
+        p = la.dot(u, v)
+        if p < 0:
+            return None
+        if p == 0:
+            mask |= 1 << i
+    return mask
+
+
+class _MaskLookup:
+    """Per-locus caches of the region test: the masks of the vectors passed
+    to marks_cone (rays of subdivisions and simplex points, not arbitrary
+    region points) and whether a face mask is marked."""
+
+    def _init_masks(self, marked):
+        object.__setattr__(self, "_ray_masks", {})
+        object.__setattr__(self, "_marked", marked)
+
+    def _ray_mask(self, r) -> int:
+        m = self._ray_masks.get(r)
+        if m is None:
+            m = self._ray_masks[r] = _zero_mask(self.cone.facet_normals, r)
+        return m
+
+
 @dataclass(frozen=True)
-class FaceLocus:
+class FaceLocus(_MaskLookup):
     """An upward-closed, nonempty family of faces of a pointed cone, never
     containing the zero face, and containing every singular face."""
 
@@ -56,12 +82,16 @@ class FaceLocus:
         for f in singular_faces(self.cone):
             if f not in self.faces:
                 raise ValidationError("locus does not contain a singular face")
+        normals = self.cone.facet_normals
+        self._init_masks(frozenset(
+            sum(1 << i for i, u in enumerate(normals) if u in f.zero_normals)
+            for f in self.faces))
 
     def __iter__(self):
         return iter(self.faces)
 
-    def marks(self, face) -> bool:
-        return face in self.faces
+    def _marks_mask(self, mask) -> bool:
+        return mask in self._marked
 
     def minimal_faces(self):
         return [f for f in self.faces
@@ -69,7 +99,7 @@ class FaceLocus:
 
 
 @dataclass(frozen=True)
-class MarkedFaces:
+class MarkedFaces(_MaskLookup):
     """The faces of a pointed cone having, for each vector in `sums`, a ray
     that pairs positively with it.  Upward-closed by construction; unlike a
     FaceLocus it need not cover the singular faces (the ideal exponents of
@@ -78,8 +108,17 @@ class MarkedFaces:
     cone: Cone
     sums: tuple
 
-    def marks(self, face) -> bool:
-        return all(any(la.dot(r, s) > 0 for r in face.rays) for s in self.sums)
+    def __post_init__(self):
+        self._init_masks({})
+
+    def _marks_mask(self, mask) -> bool:
+        marked = self._marked.get(mask)
+        if marked is None:
+            rays = [r for r in self.cone.rays
+                    if self._ray_mask(r) & mask == mask]
+            marked = self._marked[mask] = all(
+                any(la.dot(r, s) > 0 for r in rays) for s in self.sums)
+        return marked
 
 
 def face_locus(sigma: Cone, seed=()) -> FaceLocus:
@@ -107,9 +146,11 @@ def face_locus(sigma: Cone, seed=()) -> FaceLocus:
 def region_contains(locus: FaceLocus | MarkedFaces, v) -> bool:
     """True iff v lies in the relative interior of some marked face."""
     v = la.vec(v)
-    if not locus.cone.contains(v):
+    sigma = locus.cone
+    if any(la.dot(e, v) for e in sigma.span_equations):
         return False
-    return locus.marks(smallest_containing_face(locus.cone, v))
+    mask = _zero_mask(sigma.facet_normals, v)
+    return mask is not None and locus._marks_mask(mask)
 
 
 def is_minimal_in_region(locus: FaceLocus | MarkedFaces, v) -> bool:
@@ -145,6 +186,10 @@ def marks_cone(locus: FaceLocus | MarkedFaces, subcone_rays) -> bool:
     """True iff the relative interior of cone(subcone_rays) lies in the region.
 
     The relative interior of a subcone lies inside the relative interior of
-    exactly one face of the ambient cone: the smallest face containing it.
+    exactly one face of the ambient cone: the smallest face containing it,
+    whose mask is the AND of the rays' masks.  The rays must lie in the cone.
     """
-    return locus.marks(face_spanned_by(locus.cone, subcone_rays))
+    mask = (1 << len(locus.cone.facet_normals)) - 1
+    for r in subcone_rays:
+        mask &= locus._ray_mask(r)
+    return locus._marks_mask(mask)

@@ -89,9 +89,14 @@ class MonomialIdeal:
     generators: tuple
 
     def __post_init__(self):
-        gens = tuple(sorted(la.vec(u) for u in self.generators))
+        gens = tuple(sorted(la.strict_vec(u, "an ideal generator")
+                            for u in self.generators))
         object.__setattr__(self, "generators", gens)
         for u in gens:
+            if len(u) != self.sigma.ambient_dim:
+                raise ValidationError(
+                    f"ideal generator {u} does not have length "
+                    f"{self.sigma.ambient_dim}")
             if la.is_zero(u):
                 raise ValidationError("ideal generators must be nonzero")
             if any(la.dot(u, r) < 0 for r in self.sigma.rays):
@@ -362,17 +367,19 @@ def locus_from_spec(sigma: Cone, spec, ray_order=None) -> FaceLocus:
         faces = []
         all_faces = {f.rays: f for f in enumerate_faces(sigma)}
         for idxs in spec["faces"]:
-            try:
-                rays = tuple(sorted(ray_order[i] for i in idxs))
-            except (IndexError, TypeError) as exc:
-                raise ValidationError(f"bad ray index list {idxs!r}: {exc}")
+            if not isinstance(idxs, (list, tuple)) or not all(
+                    type(i) is int and 0 <= i < len(ray_order) for i in idxs):
+                raise ValidationError(
+                    f"bad ray index list {idxs!r}: indices must be ints in "
+                    f"[0, {len(ray_order)})")
+            rays = tuple(sorted(ray_order[i] for i in idxs))
             if rays not in all_faces:
                 raise ValidationError(
                     f"ray indices {list(idxs)} do not span a face")
             faces.append(all_faces[rays])
         return face_locus(sigma, faces)
     if isinstance(spec, dict) and "ideal" in spec:
-        ideal = MonomialIdeal(sigma, tuple(la.vec(u) for u in spec["ideal"]))
+        ideal = MonomialIdeal(sigma, tuple(spec["ideal"]))
         marked = []
         for f in enumerate_faces(sigma):
             if not f.rays:

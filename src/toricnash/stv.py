@@ -41,11 +41,14 @@ class Gluing:
     matrix: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "face_i",
-                           tuple(sorted(la.vec(r) for r in self.face_i)))
-        object.__setattr__(self, "face_j",
-                           tuple(sorted(la.vec(r) for r in self.face_j)))
-        object.__setattr__(self, "matrix", la.mat(self.matrix))
+        if type(self.i) is not int or type(self.j) is not int:
+            raise ValidationError("gluing component indices must be ints")
+        object.__setattr__(self, "face_i", tuple(sorted(
+            la.strict_vec(r, "a gluing face ray") for r in self.face_i)))
+        object.__setattr__(self, "face_j", tuple(sorted(
+            la.strict_vec(r, "a gluing face ray") for r in self.face_j)))
+        object.__setattr__(self, "matrix", tuple(
+            la.strict_vec(row, "a gluing matrix row") for row in self.matrix))
 
     def transposed(self) -> "Gluing":
         return Gluing(self.j, self.i, self.face_j, self.face_i,

@@ -138,3 +138,15 @@ def test_single_node_mutations_never_raise(tmp_path, capsys):
             assert code in (cli.EXIT_OK, cli.EXIT_INPUT), (mutant, err)
             seen += 1
     assert seen > 1000
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "cone", "dim": 2, "rays": [[1, 0], [-1, 0], [0, 1]]},
+    {"kind": "pair", "dim": 2, "cone": {"rays": [[1, 0], [-1, 0]]},
+     "y": "sing"},
+])
+def test_non_pointed_cone_reported(tmp_path, capsys, doc):
+    code, out = run(tmp_path, capsys, "info", doc)
+    assert code == cli.EXIT_INPUT
+    assert "not pointed" in out.err
+    assert "non-extreme" not in out.err

@@ -444,6 +444,21 @@ def test_locus_from_spec_faces():
         nash.locus_from_spec(QUADRANT, {"faces": [[0, 7]]})
 
 
+@pytest.mark.parametrize("spec", [{"faces": [[-1]]}, {"faces": [[1.0]]},
+                                  {"faces": [[True]]}, {"faces": [1]},
+                                  {"ideal": [[0.5, 1.9]]}, {"ideal": [[1]]}])
+def test_locus_from_spec_rejects_coerced_input(spec):
+    with pytest.raises(ValidationError):
+        nash.locus_from_spec(A1, spec)
+
+
+@pytest.mark.parametrize("gens", [((0.5, 1.9),), ((1, True),), ((1,),),
+                                  ((1, 0, 0),), ("ab",)])
+def test_monomial_ideal_rejects_coerced_input(gens):
+    with pytest.raises(ValidationError):
+        nash.MonomialIdeal(A1, gens)
+
+
 def test_locus_from_spec_ideal():
     # the ideal (x) cuts the invariant divisor attached to the ray (1,0)
     y = nash.locus_from_spec(QUADRANT, {"ideal": [[1, 0]]})

@@ -193,3 +193,16 @@ def test_component_permutation_independence():
     counts1 = sorted(len(r.minimal_points) if r else 0 for r in r1.reports)
     counts2 = sorted(len(r.minimal_points) if r else 0 for r in r2.reports)
     assert counts1 == counts2
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 1, (), (), I2),
+    (0, True, (), (), I2),
+    (0, 1, ((0.0, 1),), ((0, 1),), I2),
+    (0, 1, ((0, 1),), ((0, True),), I2),
+    (0, 1, (), (), ((1.0, 0), (0, 1))),
+    (0, 1, (), (), ((1, 0), "ab")),
+])
+def test_gluing_rejects_non_int_entries(args):
+    with pytest.raises(ValidationError):
+        Gluing(*args)
