@@ -493,10 +493,7 @@ def positive_functional(c: Cone) -> Vec:
     if not c.rays:
         c._ell = (1,) + la.zero_vec(c.ambient_dim - 1) if c.ambient_dim else ()
         return c._ell
-    total = la.zero_vec(c.ambient_dim)
-    for u in c.facet_normals:
-        total = la.vadd(total, u)
-    ell = la.primitive_part(total)
+    ell = la.primitive_part(la.vsum(c.facet_normals, c.ambient_dim))
     for r in c.rays:
         if la.dot(ell, r) < 1:
             raise ZeroVector(f"grading functional pairs nonpositively with ray {r}")
@@ -559,10 +556,9 @@ def monoid_level_points(c: Cone, level: int):
     return cache[level]
 
 
-def points_up_to_level(c: Cone, cap: int, ell: Vec | None = None):
-    """All lattice points of the cone with 1 <= <ell, v> <= cap."""
+def points_up_to_level(c: Cone, cap: int):
+    """All lattice points of the cone with grading level 1..cap, by level."""
     out = []
     for k in range(1, cap + 1):
-        out.extend(monoid_level_points(c, k) if ell is None
-                   else level_points(c, k, ell))
+        out.extend(monoid_level_points(c, k))
     return tuple(out)

@@ -26,10 +26,6 @@ class ZeroVector(ValidationError):
     pass
 
 
-class ZeroFunction(ValidationError):
-    pass
-
-
 class DependentGenerators(ValidationError):
     pass
 

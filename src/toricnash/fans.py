@@ -11,6 +11,10 @@ an existing ray is the same operation; pulling every ray once, in one global
 order, triangulates any fan without new rays (De Loera, Rambau and Santos,
 Triangulations, ch. 4), which is how simplicialize works.
 
+Star centers come from finite candidate sets given by proofs, never from a
+level scan: parallelepiped points, relative-interior points of smooth cones,
+and the region minima that the locus caches.
+
 All subdivision routines are deterministic; an optional random.Random instance
 varies the admissible tie-breaks, which is how seed-varied sample resolutions
 are produced.  Every construction re-checks its own output instead of trusting
@@ -32,7 +36,6 @@ from .cones import (
     hilbert_basis,
     intersect,
     is_smooth,
-    monoid_level_points,
     multiplicity,
     parallelepiped_points,
     positive_functional,
@@ -49,7 +52,13 @@ from .errors import (
     SupportMismatch,
     WrongDimension,
 )
-from .locus import FaceLocus, is_minimal_in_region, marks_cone, reduce_to_minimal, region_contains
+from .locus import (
+    FaceLocus,
+    _region_minima,
+    is_minimal_in_region,
+    marks_cone,
+    region_contains,
+)
 
 Vec = la.Vec
 
@@ -339,16 +348,24 @@ def resolve_smooth(fan: Fan, forbidden=(), rng=None) -> Subdivision:
     """Refine until every cone is smooth.
 
     Loop: simplicialize, then repeatedly star-subdivide a cone of maximal
-    multiplicity at an admissible parallelepiped point.  The multiplicity of
-    every cone touched strictly decreases, so the loop terminates.  Centers
-    whose primitive part is forbidden are skipped; if nothing admissible
-    remains (including the interior Hilbert basis fallback), the error says so.
+    multiplicity at an admissible parallelepiped point.  Centers whose
+    primitive part is forbidden are skipped; if none is left, the error says
+    so.  No other center could help: an interior Hilbert basis element h of a
+    simplicial cone has every coefficient below 1 (else h - r is in the cone
+    for a ray r), so h is a primitive parallelepiped point already offered.
+
+    The loop terminates.  Let the center v be the primitive part of a nonzero
+    parallelepiped point of the target; its coefficients on the target's rays
+    lie in [0, 1).  A cone c holding v meets the target in a common face that
+    holds v, so v has the same coefficients on c's rays.  The star replaces c
+    by the joins of v with the facets of c opposite a ray r with coefficient
+    t_r > 0, of multiplicity t_r * mult(c) < mult(c).  So no new cone reaches
+    the worst multiplicity, and the target leaves: the pair (worst
+    multiplicity, number of cones attaining it) falls lexicographically.
     """
     forbidden = frozenset(la.vec(w) for w in forbidden)
-    sub = simplicialize(fan, rng)
-    current = sub.refined
-    added = []
-    for _ in range(_MAX_RESOLUTION_ROUNDS):
+    current = simplicialize(fan, rng).refined
+    while True:
         mults = {c: multiplicity(c) for c in current.max_cones}
         worst = max(mults.values(), default=1)
         if worst == 1:
@@ -361,17 +378,11 @@ def resolve_smooth(fan: Fan, forbidden=(), rng=None) -> Subdivision:
         cands = [p for p in _subdivision_candidates(target)
                  if la.primitive_part(p) not in forbidden]
         if not cands:
-            cands = [h for h in hilbert_basis(target)
-                     if target.relint_contains(h) and h not in forbidden]
-        if not cands:
             raise ForbiddenBlocksResolution(
                 f"every admissible center of {list(target.rays)} is forbidden",
                 cone=target, forbidden=forbidden)
         pick = cands[0] if rng is None else rng.choice(cands)
-        center = la.primitive_part(pick)
-        added.append(center)
-        current = _star_refine(current, center)
-    raise InternalError("smooth resolution did not terminate")
+        current = _star_refine(current, la.primitive_part(pick))
 
 
 # ---------------------------------------------------------------------------
@@ -411,29 +422,29 @@ def is_locus_resolution(sub: Subdivision, locus: FaceLocus) -> bool:
 
 
 def _relint_point_candidates(c: Cone, forbidden):
-    """Relative-interior lattice points of c at the lowest usable grading
-    level, primitive parts not forbidden."""
+    """Relative-interior lattice points of c at the lowest grading level that
+    has one whose primitive part is not forbidden: those points, sorted.
+
+    c is an offender of a smooth fan, so a smooth cone with at least two rays.
+    Its rays extend to a lattice basis, so its relative-interior lattice
+    points are s + sum b_i r_i, for s the ray sum and b >= 0, at extra level
+    sum b_i l(r_i) above l(s).  Let r_1 be a ray of least level.  The points
+    s + t r_1, t = 0..|forbidden|, are distinct and primitive (another ray has
+    coefficient 1), so one is admissible, at extra level at most |forbidden|
+    l(r_1).  Every point up to that extra level is listed, so the lowest
+    admissible level is found whole.
+    """
     ell = positive_functional(c)
-    bound = la.dot(ell, _ray_sum(c))
-    level = 1
-    while True:
-        pts = [p for p in monoid_level_points(c, level)
-               if c.relint_contains(p)
-               and la.primitive_part(p) not in forbidden]
-        if pts:
-            return sorted(pts)
-        level += 1
-        if level > bound + 10 * (1 + len(forbidden)):
-            raise ForbiddenBlocksResolution(
-                f"no admissible interior point in {list(c.rays)}",
-                cone=c, forbidden=forbidden)
-
-
-def _ray_sum(c: Cone) -> Vec:
-    total = la.zero_vec(c.ambient_dim)
-    for r in c.rays:
-        total = la.vadd(total, r)
-    return total
+    steps = [la.dot(ell, r) for r in c.rays]
+    cap = len(forbidden) * min(steps)
+    by_extra = {}
+    for b in itertools.product(*(range(cap // s + 1) for s in steps)):
+        extra = la.dot(b, steps)
+        p = la.vsum([la.vscale(1 + k, r) for k, r in zip(b, c.rays)],
+                    c.ambient_dim)
+        if extra <= cap and la.primitive_part(p) not in forbidden:
+            by_extra.setdefault(extra, []).append(p)
+    return sorted(by_extra[min(by_extra)])
 
 
 def make_locus_resolution(sigma: Cone, locus: FaceLocus, forbidden=(),
@@ -476,23 +487,20 @@ def make_locus_resolution(sigma: Cone, locus: FaceLocus, forbidden=(),
 
 def _decompositions(sigma: Cone, locus: FaceLocus, w: Vec):
     """Candidate splittings w = n1 + n2 with n1 region-minimal and n2 a
-    nonzero cone point, enumerated by increasing grading level of the summand
-    drawn from the region."""
+    nonzero cone point: the region minima m with w - m in sigma minus 0, by
+    (grading level, m).
+
+    This is the order of a scan of the region points u below w by (level, u)
+    that reduces each u to a minimum below it and drops repeats.  A minimum m
+    first appears at u = m: any other u reducing to m lies above m, at a
+    higher level.  And a u that is not minimal reduces to a minimum at a lower
+    level, which appeared before.
+    """
     ell = positive_functional(sigma)
-    seen = set()
-    for level in range(1, la.dot(ell, w)):
-        for u in monoid_level_points(sigma, level):
-            if not region_contains(locus, u):
-                continue
-            rest = la.vsub(w, u)
-            if la.is_zero(rest) or not sigma.contains(rest):
-                continue
-            n1 = reduce_to_minimal(locus, u)
-            n2 = la.vsub(w, n1)
-            if (n1, n2) in seen:
-                continue
-            seen.add((n1, n2))
-            yield n1, n2
+    for m in sorted(_region_minima(locus), key=lambda m: (la.dot(ell, m), m)):
+        rest = la.vsub(w, m)
+        if not la.is_zero(rest) and sigma.contains(rest):
+            yield m, rest
 
 
 def avoidance_resolution(sigma: Cone, locus: FaceLocus, w) -> Subdivision:
@@ -522,25 +530,23 @@ def avoidance_resolution(sigma: Cone, locus: FaceLocus, w) -> Subdivision:
 
 
 def _avoid_with(sigma: Cone, locus: FaceLocus, w, n1, n2) -> Subdivision:
+    """Star at the rays of the cone of the minimal regular subdivision of
+    cone(n1, n2) that holds w in its relative interior, then complete.
+
+    That cone exists: w = n1 + n2 lies in the relative interior of cone(n1,
+    n2), and the relative interiors of a fan's cones partition its support.
+    It is a piece spanned by two rays when w is primitive: w is reducible in
+    cone(n1, n2), so no Hilbert basis element, and a primitive point on a ray
+    of the subdivision would be that ray's Hilbert basis generator.  It is a
+    ray only for a multiple w = k h, k >= 2; for collinear n1, n2 it is
+    cone(n1, n2) itself.
+    """
     fan = Fan.of_cone(sigma)
     span = Cone.from_rays([n1, n2], sigma.ambient_dim)
-    if span.dim == 1:
-        # collinear splitting (only possible for non-primitive w)
-        centers = [la.primitive_part(n1)]
-    else:
-        sub2 = minimal_regular_subdivision_2d(span)
-        holder = next((c for c in sub2.refined.max_cones
-                       if c.relint_contains(w)), None)
-        if holder is None:
-            ray_holder = next((c for c in sub2.refined.all_cones()
-                               if c.dim == 1 and c.relint_contains(w)), None)
-            if ray_holder is None:
-                raise ConstructionFailed(f"{w} not interior to any piece",
-                                         point=w)
-            centers = list(ray_holder.rays)
-        else:
-            centers = list(holder.rays)
-    for center in centers:
+    pieces = (span,) if span.dim == 1 else \
+        minimal_regular_subdivision_2d(span).refined.all_cones()
+    holder = next(c for c in pieces if c.relint_contains(w))
+    for center in holder.rays:
         fan = _star_refine(fan, center)
     result = make_locus_resolution(sigma, locus, forbidden=(w,), start=fan)
     if w in result.refined.rays():

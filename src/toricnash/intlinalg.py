@@ -49,6 +49,11 @@ def vadd(u, v) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
+def vsum(vs, d: int) -> Vec:
+    """The sum of the vectors vs, all of length d; the zero vector if none."""
+    return tuple(map(sum, zip(*vs, strict=True))) or zero_vec(d)
+
+
 def vsub(u, v) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 

@@ -11,17 +11,29 @@ the i-th facet normal of the cone vanishes on it.  The normals vanishing on a
 face are those vanishing on any relative-interior point of it, so points of
 the cone span the face whose mask is the AND of their masks, and a face is
 marked iff its mask is among the marked masks.
+
+The minimal points of a region come from a finite candidate set (see
+minimal_region_points) and are cached on the locus, where the certificates of
+the nash module and the avoidance construction of the fans module read them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import intlinalg as la
-from .cones import Cone, Face, enumerate_faces, hilbert_basis, is_smooth
+from .cones import (
+    Cone,
+    Face,
+    enumerate_faces,
+    face_spanned_by,
+    hilbert_basis,
+    is_smooth,
+    parallelepiped_points,
+    triangulate,
+)
 from .errors import EmptyLocus, NotInRegion, NotProper, ValidationError
-
-Vec = la.Vec
 
 
 def singular_faces(sigma: Cone):
@@ -43,13 +55,14 @@ def _zero_mask(normals, v):
 
 
 class _MaskLookup:
-    """Per-locus caches of the region test: the masks of the vectors passed
-    to marks_cone (rays of subdivisions and simplex points, not arbitrary
-    region points) and whether a face mask is marked."""
+    """Per-locus caches: the masks of the vectors passed to marks_cone (rays
+    of subdivisions and simplex points, not arbitrary region points), whether
+    a face mask is marked, and the region minima once computed."""
 
     def _init_masks(self, marked):
         object.__setattr__(self, "_ray_masks", {})
         object.__setattr__(self, "_marked", marked)
+        object.__setattr__(self, "_minima", None)
 
     def _ray_mask(self, r) -> int:
         m = self._ray_masks.get(r)
@@ -169,19 +182,6 @@ def is_minimal_in_region(locus: FaceLocus | MarkedFaces, v) -> bool:
     return True
 
 
-def reduce_to_minimal(locus: FaceLocus | MarkedFaces, v) -> Vec:
-    """Walk v down by Hilbert basis elements while staying in the region."""
-    v = la.vec(v)
-    if not region_contains(locus, v):
-        raise NotInRegion(f"{v} is not in the marked region")
-    hb = hilbert_basis(locus.cone)
-    while True:
-        step = next((h for h in hb if region_contains(locus, la.vsub(v, h))), None)
-        if step is None:
-            return v
-        v = la.vsub(v, step)
-
-
 def marks_cone(locus: FaceLocus | MarkedFaces, subcone_rays) -> bool:
     """True iff the relative interior of cone(subcone_rays) lies in the region.
 
@@ -193,3 +193,42 @@ def marks_cone(locus: FaceLocus | MarkedFaces, subcone_rays) -> bool:
     for r in subcone_rays:
         mask &= locus._ray_mask(r)
     return locus._marks_mask(mask)
+
+
+def minimal_region_points(locus: FaceLocus | MarkedFaces):
+    """All minimal lattice points of the marked region under the cone order.
+
+    The candidates are finite.  Fix one triangulation of the cone and let v be
+    region-minimal.  Some simplex holds v, and v = sum of c_g g over a subset S
+    of its rays with every c_g > 0, so v lies in the relative interior of
+    cone(S); that relative interior sits inside the relative interior of one
+    face of the cone, the one holding v, so cone(S) marks the region.  If some
+    c_g > 1, then v - g still lies in the relative interior of cone(S), hence
+    in the region, and below v: so every c_g is in (0, 1].  Hence v = p + (the
+    sum of the rays of S outside the support of p), for p the point of the
+    simplex's half-open parallelepiped with the fractional parts of the c_g.
+    Every candidate lies in the region, and one exact minimality test on them
+    leaves exactly the minima.  The result is cached on the locus.
+    """
+    return _region_minima(locus)
+
+
+def _region_minima(locus: FaceLocus | MarkedFaces):
+    """minimal_region_points, computed once per locus.  Library code reads
+    the cache here, so each public call is one request from outside."""
+    if locus._minima is None:
+        sigma = locus.cone
+        dim = sigma.ambient_dim
+        candidates = set()
+        for simplex in triangulate(sigma):
+            cell = Cone.from_rays(simplex, dim)
+            for p in parallelepiped_points(simplex, dim):
+                support = face_spanned_by(cell, (p,)).rays
+                rest = [g for g in simplex if g not in support]
+                for k in range(len(rest) + 1):
+                    for extra in itertools.combinations(rest, k):
+                        if marks_cone(locus, support + extra):
+                            candidates.add(la.vsum((p,) + extra, dim))
+        object.__setattr__(locus, "_minima", tuple(sorted(
+            v for v in candidates if is_minimal_in_region(locus, v))))
+    return locus._minima

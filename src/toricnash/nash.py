@@ -1,20 +1,16 @@
-"""Nash data of a toric pair: minimal region points, essential-divisor
-certificates, monomial valuations, contact-locus components, and the
-orbit-closure order on arc classes.
+"""Nash data of a toric pair: essential-divisor certificates, monomial
+ideals, contact-locus components, and the orbit-closure order on arc classes.
 
-Region minima come from a finite candidate set: the half-open parallelepiped
-points of the simplices of one triangulation, each raised by simplex rays into
-a marked simplex face, then one exact minimality test (see
-minimal_region_points).  The generators of the ideal of a locus are the region
-minima of a marked-face family on the dual cone.  Contact loci are found
-breadth-first by levels of the cone's grading functional, up to a proven level
-cap that scales with the contact order (see contact_components).
+Region minima are computed in locus.minimal_region_points, from a finite
+candidate set, and re-exported here as the same object.  The generators of the
+ideal of a locus are the region minima of a marked-face family on the dual
+cone.  Contact loci are found breadth-first by levels of the cone's grading
+functional, up to a proven level cap that scales with the contact order (see
+contact_components).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -26,55 +22,22 @@ from .cones import (
     enumerate_faces,
     face_spanned_by,
     hilbert_basis,
-    parallelepiped_points,
     points_up_to_level,
     positive_functional,
     smallest_containing_face,
-    triangulate,
 )
-from .errors import EmptyLocus, ValidationError, ZeroFunction
-from .fans import Fan, Subdivision, avoidance_resolution, make_locus_resolution
+from .errors import EmptyLocus, ValidationError
+from .fans import Fan, avoidance_resolution, make_locus_resolution
 from .locus import (
     FaceLocus,
     MarkedFaces,
     face_locus,
-    is_minimal_in_region,
-    marks_cone,
+    minimal_region_points,
     region_contains,
     singular_faces,
 )
 
 Vec = la.Vec
-
-
-def minimal_region_points(locus: FaceLocus | MarkedFaces):
-    """All minimal lattice points of the marked region under the cone order.
-
-    The candidates are finite.  Fix one triangulation of the cone and let v be
-    region-minimal.  Some simplex holds v, and v = sum of c_g g over a subset S
-    of its rays with every c_g > 0, so v lies in the relative interior of
-    cone(S); that relative interior sits inside the relative interior of one
-    face of the cone, the one holding v, so cone(S) marks the region.  If some
-    c_g > 1, then v - g still lies in the relative interior of cone(S), hence
-    in the region, and below v: so every c_g is in (0, 1].  Hence v = p + (the
-    sum of the rays of S outside the support of p), for p the point of the
-    simplex's half-open parallelepiped with the fractional parts of the c_g.
-    Every candidate lies in the region, and one exact minimality test on them
-    leaves exactly the minima.
-    """
-    sigma = locus.cone
-    dim = sigma.ambient_dim
-    candidates = set()
-    for simplex in triangulate(sigma):
-        cell = Cone.from_rays(simplex, dim)
-        for p in parallelepiped_points(simplex, dim):
-            support = face_spanned_by(cell, (p,)).rays
-            rest = [g for g in simplex if g not in support]
-            for k in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, k):
-                    if marks_cone(locus, support + extra):
-                        candidates.add(functools.reduce(la.vadd, extra, p))
-    return tuple(sorted(v for v in candidates if is_minimal_in_region(locus, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +109,10 @@ def faces_to_ideal(locus: FaceLocus) -> MonomialIdeal:
     inner = Cone.from_rays([coords(r) for r in sigma.rays],
                            sigma.dim if sigma.rays else sigma.ambient_dim)
     dual = dual_cone(inner)
-    reps = []
-    for f in locus.minimal_faces():
-        total = la.zero_vec(inner.ambient_dim)
-        for r in f.rays:
-            total = la.vadd(total, coords(r))
-        reps.append(total)
+    reps = [la.vsum([coords(r) for r in f.rays], inner.ambient_dim)
+            for f in locus.minimal_faces()]
     gens = minimal_region_points(MarkedFaces(dual, tuple(reps)))
     return MonomialIdeal(sigma, tuple(lift_dual(u) for u in gens))
-
-
-def monomial_valuation(v, exponents) -> int:
-    """min <v, u> over the support exponents of a monomial combination."""
-    exponents = [la.vec(u) for u in exponents]
-    if not exponents:
-        raise ZeroFunction("the zero function has no valuation")
-    return min(la.dot(la.vec(v), u) for u in exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +335,7 @@ def locus_from_spec(sigma: Cone, spec, ray_order=None) -> FaceLocus:
         for f in enumerate_faces(sigma):
             if not f.rays:
                 continue
-            rep = la.zero_vec(sigma.ambient_dim)
-            for r in f.rays:
-                rep = la.vadd(rep, r)
-            if ideal.min_pairing(rep) >= 1:
+            if ideal.min_pairing(la.vsum(f.rays, sigma.ambient_dim)) >= 1:
                 marked.append(f)
         if not marked:
             raise EmptyLocus("the ideal vanishes on no orbit closure")

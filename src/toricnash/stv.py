@@ -165,9 +165,7 @@ def component_pairs(c: STVComplex):
                 glued.append(g.face_j)
         seeds = []
         for face_rays in glued:
-            rep = la.zero_vec(comp.dim)
-            for r in face_rays:
-                rep = la.vadd(rep, coords(r))
+            rep = la.vsum([coords(r) for r in face_rays], comp.dim)
             star_rays = [r for r in chart.rays if la.dot(rep, r) == 0]
             if not star_rays:
                 raise NotProper(

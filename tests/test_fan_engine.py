@@ -1,5 +1,6 @@
 """The fan engine: facet-join star subdivisions, one-pass pulling
-simplicialization, and certification of the 4d cube pair."""
+simplicialization, certification of the 4d cube pair, and the finite candidate
+sets of the locus resolution and the avoidance construction."""
 
 import functools
 import random
@@ -136,3 +137,75 @@ def test_forbidden_blocks_resolution_carries_cone():
     assert info.value.cone == A1
     assert info.value.forbidden == ((1, 1),)
     assert "forbidden" in str(info.value)
+
+
+# -- candidate sets against independent references ----------------------------
+
+def smooth_cone(rng, k, dim):
+    """k rows of a random unimodular dim x dim matrix with small entries."""
+    rows = [list(r) for r in la.identity(dim)]
+    for _ in range(2 * dim):
+        i, j = rng.sample(range(dim), 2)
+        sign = rng.choice((-1, 1))
+        rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
+    return Cone.from_rays([tuple(r) for r in rows[:k]], dim)
+
+
+def lowest_relint_points(c, forbidden, max_level=60):
+    """Box scan: the relative-interior points of the lowest level holding
+    one whose primitive part is not forbidden."""
+    for level in range(1, max_level + 1):
+        pts = [p for p in cg.level_points(c, level)
+               if c.relint_contains(p) and la.primitive_part(p) not in forbidden]
+        if pts:
+            return sorted(pts)
+    raise AssertionError(f"no admissible point in {c!r} up to {max_level}")
+
+
+def test_relint_point_candidates_match_box_scan():
+    rng = random.Random(2024)
+    cones = []
+    while len(cones) < 24:
+        k = rng.randint(2, 4)
+        c = smooth_cone(rng, k, rng.choice((k, k + 1)) if k < 4 else 4)
+        assert cg.is_smooth(c)
+        if max(map(abs, sum(c.rays, ()))) <= 3:
+            cones.append(c)
+    for c in cones:
+        s = functools.reduce(la.vadd, c.rays)
+        blocks = [frozenset(), frozenset({s}),
+                  frozenset({s} | {la.vadd(s, r) for r in c.rays})]
+        blocks += [frozenset({s, la.vadd(s, r)}) for r in c.rays]
+        for forbidden in blocks:
+            want = lowest_relint_points(c, forbidden)
+            assert fs._relint_point_candidates(c, forbidden) == want, (c, forbidden)
+
+
+def test_decompositions_are_the_minima_below(cube_locus):
+    """The splittings of every avoided ray are the brute-force region minima m
+    with w - m in the cone and nonzero, by (level, m)."""
+    for y in (face_locus(QUADRIC, []), face_locus(SIMPLEX_4D, []), cube_locus):
+        sigma = y.cone
+        ell = cg.positive_functional(sigma)
+        report = nash.certify_essential(y, samples=3, seed=0)
+        assert report.avoided
+        # a minimum below w lies below level l(w), so this cap misses none
+        cap = max(la.dot(ell, w) for w, _ in report.avoided)
+        minima = oracle.brute_minimal_region_points(y, cap)
+        for w, _ in report.avoided:
+            below = [m for m in minima if not la.is_zero(la.vsub(w, m))
+                     and sigma.contains(la.vsub(w, m))]
+            below.sort(key=lambda m: (la.dot(ell, m), m))
+            assert below
+            assert list(fs._decompositions(sigma, y, w)) == \
+                [(m, la.vsub(w, m)) for m in below]
+
+
+def test_avoidance_of_a_multiple_on_a_subdivision_ray():
+    """w = (2, 4) = (1, 1) + (1, 3) lies on the ray (1, 2) of the minimal
+    regular subdivision of cone((1, 1), (1, 3)): the construction stars there."""
+    y = face_locus(QUADRANT, [cg.smallest_containing_face(QUADRANT, (1, 1))])
+    assert list(fs._decompositions(QUADRANT, y, (2, 4))) == [((1, 1), (1, 3))]
+    sub = fs.avoidance_resolution(QUADRANT, y, (2, 4))
+    assert (1, 2) in sub.refined.rays()
+    assert fs.is_locus_resolution(sub, y)

@@ -14,7 +14,6 @@ from toricnash.errors import (
     NotInRegion,
     NotProper,
     ValidationError,
-    ZeroFunction,
 )
 from toricnash.locus import (
     face_locus,
@@ -281,16 +280,6 @@ def test_monomial_ideal_validation():
         nash.MonomialIdeal(QUADRANT, ((-1, 2),))
     with pytest.raises(ValidationError):
         nash.MonomialIdeal(QUADRANT, ())
-
-
-# -- monomial valuation --------------------------------------------------------
-
-def test_monomial_valuation():
-    assert nash.monomial_valuation((1, 1), [(2, 1), (0, 1)]) == 1
-    assert nash.monomial_valuation((3, 7), [(0, 0)]) == 0
-    assert nash.monomial_valuation((2, 3), [(1, 1)]) == 5
-    with pytest.raises(ZeroFunction):
-        nash.monomial_valuation((1, 1), [])
 
 
 # -- contact components ---------------------------------------------------------
