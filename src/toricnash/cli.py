@@ -333,6 +333,10 @@ def _cone_info(cone):
 def _nash_results(locus, opts):
     report = certify_essential(locus, samples=opts["samples"],
                                seed=opts["seed"])
+    # avoided rays share witness resolutions; list each once, by first use
+    witness_index = {}
+    for _, sub in report.avoided:
+        witness_index.setdefault(id(sub), (len(witness_index), sub))
     return report, {
         "minimal_points": [list(v) for v in report.minimal_points],
         "count": len(report.minimal_points),
@@ -340,8 +344,9 @@ def _nash_results(locus, opts):
         "samples": [{"rays": [list(r) for r in sub.refined.rays()],
                      "added_rays": [list(r) for r in sub.added_rays]}
                     for sub in report.samples],
-        "avoided": [{"ray": list(r), "resolution_rays":
-                     [list(x) for x in sub.refined.rays()]}
+        "witness_resolutions": [{"rays": [list(x) for x in sub.refined.rays()]}
+                                for _, sub in witness_index.values()],
+        "avoided": [{"ray": list(r), "witness": witness_index[id(sub)][0]}
                     for r, sub in report.avoided],
         "certificates": [
             {"point": list(c.point),

@@ -15,6 +15,13 @@ Star centers come from finite candidate sets given by proofs, never from a
 level scan: parallelepiped points, relative-interior points of smooth cones,
 and the region minima that the locus caches.
 
+minima_first_resolution stars the cone at every region minimum first and only
+then completes to a locus resolution.  Every locus resolution carries the
+minima, so this one tends to carry little else, and a ray it omits is shown
+non-essential without a construction of its own.  avoidance_resolution is the
+construction for one given ray w; it takes primitive w only, since rays are
+primitive and no resolution could carry a multiple.
+
 All subdivision routines are deterministic; an optional random.Random instance
 varies the admissible tie-breaks, which is how seed-varied sample resolutions
 are produced.  Every construction re-checks its own output instead of trusting
@@ -24,7 +31,7 @@ the recipe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 from . import intlinalg as la
@@ -188,12 +195,22 @@ class Subdivision:
     base: Fan
     refined: Fan
     added_rays: tuple
+    _problems: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def is_identity(self):
         return self.base == self.refined
 
     def validate(self):
-        """Exact structural check; returns (ok, diagnostics)."""
+        """Exact structural check; returns (ok, diagnostics).
+
+        The object is frozen, so the check runs once and is stored; each call
+        returns a fresh diagnostics list."""
+        if self._problems is None:
+            object.__setattr__(self, "_problems", tuple(self._check()))
+        return not self._problems, list(self._problems)
+
+    def _check(self):
         problems = []
         ok, diag = validate_fan(self.refined)
         problems.extend(diag)
@@ -203,7 +220,7 @@ class Subdivision:
             if not any(_cone_subset(c, b) for b in self.base.max_cones):
                 problems.append(f"refined cone {list(c.rays)} lies in no base cone")
         problems.extend(_support_equality_problems(self.base, self.refined))
-        return not problems, problems
+        return problems
 
 
 def _support_equality_problems(base: Fan, refined: Fan):
@@ -481,6 +498,20 @@ def make_locus_resolution(sigma: Cone, locus: FaceLocus, forbidden=(),
     raise InternalError("locus resolution did not terminate")
 
 
+def minima_first_resolution(sigma: Cone, locus: FaceLocus) -> Subdivision:
+    """A locus resolution built around the region minima.
+
+    Star-subdivide sigma at each region minimum that is not yet a ray, in
+    sorted order, then complete with make_locus_resolution.  Star subdivisions
+    only add rays, so every minimum stays a ray of the result.
+    """
+    fan = Fan.of_cone(sigma)
+    for m in _region_minima(locus):
+        if m not in fan.rays():
+            fan = _star_refine(fan, m)
+    return make_locus_resolution(sigma, locus, start=fan)
+
+
 # ---------------------------------------------------------------------------
 # avoidance construction
 # ---------------------------------------------------------------------------
@@ -504,15 +535,19 @@ def _decompositions(sigma: Cone, locus: FaceLocus, w: Vec):
 
 
 def avoidance_resolution(sigma: Cone, locus: FaceLocus, w) -> Subdivision:
-    """A locus resolution whose rays avoid the non-minimal region point w.
+    """A locus resolution whose rays avoid the primitive, non-minimal region
+    point w.
 
     Split w = n1 + n2 with n1 region-minimal, take the minimal regular
     subdivision of the two-dimensional cone they span, star-subdivide at the
     rays of the subcone holding w in its relative interior, and complete to a
     locus resolution with w forbidden as a center.  The result is re-checked:
-    w must not appear among the rays.
+    w must not appear among the rays.  A non-primitive w is rejected: no
+    resolution has it as a ray, so avoiding it would prove nothing.
     """
     w = la.vec(w)
+    if la.is_zero(w) or la.primitive_part(w) != w:
+        raise NotPrimitive(f"{w} is not a primitive lattice vector")
     if not region_contains(locus, w):
         raise NotInRegion(f"{w} is not in the marked region")
     if is_minimal_in_region(locus, w):
@@ -535,16 +570,14 @@ def _avoid_with(sigma: Cone, locus: FaceLocus, w, n1, n2) -> Subdivision:
 
     That cone exists: w = n1 + n2 lies in the relative interior of cone(n1,
     n2), and the relative interiors of a fan's cones partition its support.
-    It is a piece spanned by two rays when w is primitive: w is reducible in
-    cone(n1, n2), so no Hilbert basis element, and a primitive point on a ray
-    of the subdivision would be that ray's Hilbert basis generator.  It is a
-    ray only for a multiple w = k h, k >= 2; for collinear n1, n2 it is
-    cone(n1, n2) itself.
+    It is a piece spanned by two rays: w is primitive, so n1 and n2 are not
+    collinear, and w is reducible in cone(n1, n2), so no Hilbert basis
+    element, while a primitive point on a ray of the subdivision would be
+    that ray's Hilbert basis generator.
     """
     fan = Fan.of_cone(sigma)
     span = Cone.from_rays([n1, n2], sigma.ambient_dim)
-    pieces = (span,) if span.dim == 1 else \
-        minimal_regular_subdivision_2d(span).refined.all_cones()
+    pieces = minimal_regular_subdivision_2d(span).refined.all_cones()
     holder = next(c for c in pieces if c.relint_contains(w))
     for center in holder.rays:
         fan = _star_refine(fan, center)

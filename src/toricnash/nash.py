@@ -26,8 +26,19 @@ from .cones import (
     positive_functional,
     smallest_containing_face,
 )
-from .errors import EmptyLocus, ValidationError
-from .fans import Fan, avoidance_resolution, make_locus_resolution
+from .errors import (
+    ConstructionFailed,
+    EmptyLocus,
+    ForbiddenBlocksResolution,
+    InternalError,
+    ValidationError,
+)
+from .fans import (
+    Fan,
+    avoidance_resolution,
+    make_locus_resolution,
+    minima_first_resolution,
+)
 from .locus import (
     FaceLocus,
     MarkedFaces,
@@ -175,7 +186,9 @@ class NashPairReport:
     minimal_points: tuple
     certificates: tuple
     samples: tuple
-    avoided: tuple          # (ray, Subdivision) for sample rays outside the minima
+    avoided: tuple          # (ray, witness Subdivision omitting the ray) for
+                            # sample rays outside the minima; rays may share
+                            # one witness, often a sample itself
     missing: tuple          # (point, sample index) presence failures, normally empty
     bijective: bool
 
@@ -200,14 +213,35 @@ def _sample_rng(seed: int, index: int):
     return random.Random(seed * 1_000_003 + index)
 
 
+def _minima_first_candidate(sigma: Cone, locus: FaceLocus):
+    """[(minima-first resolution, its ray set)], or [] if it cannot be built."""
+    try:
+        sub = minima_first_resolution(sigma, locus)
+    except (ConstructionFailed, ForbiddenBlocksResolution, InternalError):
+        return []
+    return [(sub, set(sub.refined.rays()))]
+
+
 def certify_essential(locus: FaceLocus, samples: int = 3,
                       seed: int = 0) -> NashPairReport:
     """Certify the good-components/essential-divisors bijection on a pair.
 
     Computes the region minima, builds `samples` seed-varied locus
-    resolutions, checks every minimum is a ray of every sample, and builds an
-    avoidance resolution for every sample ray interior to the region that is
-    not a minimum.  ConstructionFailed propagates with the offending ray.
+    resolutions, and checks every minimum is a ray of every sample.  Then
+    every sample ray interior to the region that is not a minimum is shown
+    non-essential.  A divisor is essential iff it is a ray of every locus
+    resolution, so any locus resolution that omits such a ray w is a witness.
+    Each w takes the first witness of this list:
+
+    1. the first sample, by index, whose rays omit w;
+    2. the minima-first resolution (fans.minima_first_resolution), built at
+       most once per call and skipped if its construction fails;
+    3. an avoidance resolution built for w alone.
+
+    The minima-first resolution is built to carry the minima, so it never
+    joins the samples: the presence check runs on the seed-varied
+    resolutions only and stays a real test.  ConstructionFailed from the
+    avoidance construction propagates with the offending ray.
     """
     if samples < 1:
         raise ValidationError("need at least one sample resolution")
@@ -216,15 +250,23 @@ def certify_essential(locus: FaceLocus, samples: int = 3,
     subs = []
     for i in range(samples):
         subs.append(make_locus_resolution(sigma, locus, rng=_sample_rng(seed, i)))
-    missing = []
-    for i, sub in enumerate(subs):
-        rays = set(sub.refined.rays())
-        for w in minima:
-            if w not in rays:
-                missing.append((w, i))
-    to_avoid = sorted({r for sub in subs for r in sub.refined.rays()
+    candidates = [(sub, set(sub.refined.rays())) for sub in subs]
+    missing = [(w, i) for i, (_, rays) in enumerate(candidates)
+               for w in minima if w not in rays]
+    to_avoid = sorted({r for _, rays in candidates for r in rays
                        if r not in minima and region_contains(locus, r)})
-    avoided = tuple((r, avoidance_resolution(sigma, locus, r)) for r in to_avoid)
+    tried_minima_first = False
+    avoided = []
+    for r in to_avoid:
+        witness = next((sub for sub, rays in candidates if r not in rays), None)
+        if witness is None and not tried_minima_first:
+            tried_minima_first = True
+            candidates += _minima_first_candidate(sigma, locus)
+            witness = next((sub for sub, rays in candidates if r not in rays),
+                           None)
+        if witness is None:
+            witness = avoidance_resolution(sigma, locus, r)
+        avoided.append((r, witness))
     certs = tuple(
         EssentialCertificate(w, _minimality_witnesses(locus, w))
         for w in minima)
@@ -233,7 +275,7 @@ def certify_essential(locus: FaceLocus, samples: int = 3,
         minimal_points=minima,
         certificates=certs,
         samples=tuple(subs),
-        avoided=avoided,
+        avoided=tuple(avoided),
         missing=tuple(missing),
         bijective=not missing,
     )

@@ -11,6 +11,10 @@ QUADRIC_PAIR = {"kind": "pair", "dim": 3,
 A1_IDEAL = {"kind": "ideal-query", "dim": 2,
             "cone": {"rays": [[1, 0], [1, 2]]},
             "ideal": [[0, 1], [1, 0], [2, -1]], "n": 2}
+CUBE_PAIR = {"kind": "pair", "dim": 4,
+             "cone": {"rays": [[a, b, c, 1] for a in (0, 1) for b in (0, 1)
+                               for c in (0, 1)]},
+             "y": "sing"}
 PLANES_ALONG_LINE = {"kind": "stv", "dim": 2,
                      "components": [{"rays": [[1, 0], [0, 1]]},
                                     {"rays": [[-1, 0], [0, 1]]}],
@@ -52,6 +56,20 @@ def test_nash_and_contact_results(tmp_path, capsys):
     assert results["bijective"]
     _, out = run(tmp_path, capsys, "contact", A1_IDEAL, "--format", "json")
     assert json.loads(out.out)["results"]["components"] == [[2, 2]]
+
+
+def test_avoided_rays_index_shared_witnesses(tmp_path, capsys):
+    """Each avoided ray names a witness resolution, listed once, that omits
+    it; on the cube pair several rays share one."""
+    _, out = run(tmp_path, capsys, "nash", CUBE_PAIR, "--format", "json")
+    results = json.loads(out.out)["results"]
+    witnesses = results["witness_resolutions"]
+    avoided = results["avoided"]
+    assert avoided
+    for entry in avoided:
+        assert entry["ray"] not in witnesses[entry["witness"]]["rays"]
+    assert sorted({e["witness"] for e in avoided}) == list(range(len(witnesses)))
+    assert len(witnesses) < len(avoided)
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

@@ -12,7 +12,11 @@ from toricnash import fans as fs
 from toricnash import intlinalg as la
 from toricnash import nash, oracle
 from toricnash.cones import Cone
-from toricnash.errors import ConstructionFailed, ForbiddenBlocksResolution
+from toricnash.errors import (
+    ConstructionFailed,
+    ForbiddenBlocksResolution,
+    NotPrimitive,
+)
 from toricnash.fans import Fan
 from toricnash.locus import face_locus
 
@@ -203,9 +207,97 @@ def test_decompositions_are_the_minima_below(cube_locus):
 
 def test_avoidance_of_a_multiple_on_a_subdivision_ray():
     """w = (2, 4) = (1, 1) + (1, 3) lies on the ray (1, 2) of the minimal
-    regular subdivision of cone((1, 1), (1, 3)): the construction stars there."""
+    regular subdivision of cone((1, 1), (1, 3)).  No resolution has the
+    multiple (2, 4) as a ray, so avoiding it proves nothing: it is rejected."""
     y = face_locus(QUADRANT, [cg.smallest_containing_face(QUADRANT, (1, 1))])
     assert list(fs._decompositions(QUADRANT, y, (2, 4))) == [((1, 1), (1, 3))]
-    sub = fs.avoidance_resolution(QUADRANT, y, (2, 4))
-    assert (1, 2) in sub.refined.rays()
-    assert fs.is_locus_resolution(sub, y)
+    with pytest.raises(NotPrimitive):
+        fs.avoidance_resolution(QUADRANT, y, (2, 4))
+
+
+# -- non-essentiality witnesses ------------------------------------------------
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts the avoidance constructions certify_essential builds."""
+    calls = []
+
+    def counted(sigma, locus, w):
+        calls.append(w)
+        return fs.avoidance_resolution(sigma, locus, w)
+
+    monkeypatch.setattr(nash, "avoidance_resolution", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("cone, most", [(CUBE, 0), (QUADRIC, 0),
+                                        (SIMPLEX_4D, 2)],
+                         ids=["cube", "quadric", "simplex4d"])
+def test_witnesses_come_from_resolutions_at_hand(constructions, cone, most,
+                                                 seed):
+    y = face_locus(cone, [])
+    report = nash.certify_essential(y, samples=3, seed=seed)
+    assert report.avoided
+    assert len(constructions) <= most
+    assert len(report.samples) == 3
+    # the samples are the seed-varied resolutions, and nothing else
+    assert [s.refined for s in report.samples] == [
+        fs.make_locus_resolution(cone, y, rng=nash._sample_rng(seed, i)).refined
+        for i in range(3)]
+    for ray, sub in report.avoided:
+        assert ray not in sub.refined.rays()
+        assert fs.is_locus_resolution(sub, y)
+        omitting = [s for s in report.samples if ray not in s.refined.rays()]
+        if omitting:
+            assert sub is omitting[0]
+        else:
+            assert all(sub is not s for s in report.samples)
+
+
+def test_witnesses_are_deterministic():
+    first, second = (nash.certify_essential(face_locus(SIMPLEX_4D, []),
+                                            samples=3, seed=1)
+                     for _ in range(2))
+    assert [(r, s.refined) for r, s in first.avoided] == \
+        [(r, s.refined) for r, s in second.avoided]
+
+
+def test_failed_minima_first_falls_back_to_avoidance(constructions,
+                                                     monkeypatch):
+    """With one sample every avoided ray is one of its rays, so only the
+    minima-first resolution or a construction can witness it."""
+    y = face_locus(QUADRIC, [])
+    nash.certify_essential(y, samples=1)
+    assert constructions == []
+
+    def fail(sigma, locus):
+        raise ConstructionFailed("refused")
+
+    monkeypatch.setattr(nash, "minima_first_resolution", fail)
+    report = nash.certify_essential(y, samples=1)
+    assert report.avoided
+    assert constructions == [ray for ray, _ in report.avoided]
+    for ray, sub in report.avoided:
+        assert sub.refined == fs.avoidance_resolution(QUADRIC, y, ray).refined
+
+
+def test_minima_first_resolution_carries_the_minima(cube_locus):
+    sub = fs.minima_first_resolution(CUBE, cube_locus)
+    assert fs.is_locus_resolution(sub, cube_locus)
+    assert set(nash.minimal_region_points(cube_locus)) <= set(sub.refined.rays())
+
+
+def test_validate_is_computed_once_per_subdivision(cube_locus):
+    sample = fs.make_locus_resolution(CUBE, cube_locus)
+    assert sample.validate() == (True, [])
+    sample.validate()[1].append("tampered")
+    assert sample.validate() == (True, [])
+    dropped = fs.Subdivision(sample.base,
+                             Fan(4, sample.refined.max_cones[1:]),
+                             sample.added_rays)
+    ok, problems = dropped.validate()
+    assert not ok and problems
+    kept = list(problems)
+    problems.clear()
+    assert dropped.validate() == (False, kept)

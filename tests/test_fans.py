@@ -245,11 +245,11 @@ def test_avoidance_quadrant():
 
 
 def test_avoidance_a1_nonprimitive():
+    """(2, 2) is in the region but no resolution has it as a ray."""
     yA = face_locus(A1, [])
-    sub = fs.avoidance_resolution(A1, yA, (2, 2))
-    assert sub.refined.rays() == ((1, 0), (1, 1), (1, 2))
-    assert (2, 2) not in sub.refined.rays()
-    assert fs.is_locus_resolution(sub, yA)
+    assert region_contains(yA, (2, 2))
+    with pytest.raises(NotPrimitive):
+        fs.avoidance_resolution(A1, yA, (2, 2))
 
 
 def test_avoidance_random_2d():
