@@ -15,12 +15,9 @@ Star centers come from finite candidate sets given by proofs, never from a
 level scan: parallelepiped points, relative-interior points of smooth cones,
 and the region minima that the locus caches.
 
-minima_first_resolution stars the cone at every region minimum first and only
-then completes to a locus resolution.  Every locus resolution carries the
-minima, so this one tends to carry little else, and a ray it omits is shown
-non-essential without a construction of its own.  avoidance_resolution is the
-construction for one given ray w; it takes primitive w only, since rays are
-primitive and no resolution could carry a multiple.
+avoidance_resolution is the construction for one given ray w; it takes
+primitive w only, since rays are primitive and no resolution could carry a
+multiple.
 
 All subdivision routines are deterministic; an optional random.Random instance
 varies the admissible tie-breaks, which is how seed-varied sample resolutions
@@ -496,20 +493,6 @@ def make_locus_resolution(sigma: Cone, locus: FaceLocus, forbidden=(),
         current = _star_refine(current, la.primitive_part(pick))
         current = resolve_smooth(current, forbidden, rng).refined
     raise InternalError("locus resolution did not terminate")
-
-
-def minima_first_resolution(sigma: Cone, locus: FaceLocus) -> Subdivision:
-    """A locus resolution built around the region minima.
-
-    Star-subdivide sigma at each region minimum that is not yet a ray, in
-    sorted order, then complete with make_locus_resolution.  Star subdivisions
-    only add rays, so every minimum stays a ray of the result.
-    """
-    fan = Fan.of_cone(sigma)
-    for m in _region_minima(locus):
-        if m not in fan.rays():
-            fan = _star_refine(fan, m)
-    return make_locus_resolution(sigma, locus, start=fan)
 
 
 # ---------------------------------------------------------------------------

@@ -26,19 +26,8 @@ from .cones import (
     positive_functional,
     smallest_containing_face,
 )
-from .errors import (
-    ConstructionFailed,
-    EmptyLocus,
-    ForbiddenBlocksResolution,
-    InternalError,
-    ValidationError,
-)
-from .fans import (
-    Fan,
-    avoidance_resolution,
-    make_locus_resolution,
-    minima_first_resolution,
-)
+from .errors import EmptyLocus, ValidationError
+from .fans import Fan, avoidance_resolution, make_locus_resolution
 from .locus import (
     FaceLocus,
     MarkedFaces,
@@ -213,15 +202,6 @@ def _sample_rng(seed: int, index: int):
     return random.Random(seed * 1_000_003 + index)
 
 
-def _minima_first_candidate(sigma: Cone, locus: FaceLocus):
-    """[(minima-first resolution, its ray set)], or [] if it cannot be built."""
-    try:
-        sub = minima_first_resolution(sigma, locus)
-    except (ConstructionFailed, ForbiddenBlocksResolution, InternalError):
-        return []
-    return [(sub, set(sub.refined.rays()))]
-
-
 def certify_essential(locus: FaceLocus, samples: int = 3,
                       seed: int = 0) -> NashPairReport:
     """Certify the good-components/essential-divisors bijection on a pair.
@@ -230,18 +210,11 @@ def certify_essential(locus: FaceLocus, samples: int = 3,
     resolutions, and checks every minimum is a ray of every sample.  Then
     every sample ray interior to the region that is not a minimum is shown
     non-essential.  A divisor is essential iff it is a ray of every locus
-    resolution, so any locus resolution that omits such a ray w is a witness.
-    Each w takes the first witness of this list:
-
-    1. the first sample, by index, whose rays omit w;
-    2. the minima-first resolution (fans.minima_first_resolution), built at
-       most once per call and skipped if its construction fails;
-    3. an avoidance resolution built for w alone.
-
-    The minima-first resolution is built to carry the minima, so it never
-    joins the samples: the presence check runs on the seed-varied
-    resolutions only and stays a real test.  ConstructionFailed from the
-    avoidance construction propagates with the offending ray.
+    resolution, so any locus resolution that omits such a ray w is a witness:
+    w takes the first sample, by index, whose rays omit it, and an avoidance
+    resolution built for w alone only when every sample carries w.
+    ConstructionFailed from that construction propagates with the offending
+    ray.
     """
     if samples < 1:
         raise ValidationError("need at least one sample resolution")
@@ -250,20 +223,15 @@ def certify_essential(locus: FaceLocus, samples: int = 3,
     subs = []
     for i in range(samples):
         subs.append(make_locus_resolution(sigma, locus, rng=_sample_rng(seed, i)))
-    candidates = [(sub, set(sub.refined.rays())) for sub in subs]
-    missing = [(w, i) for i, (_, rays) in enumerate(candidates)
+    ray_sets = [set(sub.refined.rays()) for sub in subs]
+    missing = [(w, i) for i, rays in enumerate(ray_sets)
                for w in minima if w not in rays]
-    to_avoid = sorted({r for _, rays in candidates for r in rays
+    to_avoid = sorted({r for rays in ray_sets for r in rays
                        if r not in minima and region_contains(locus, r)})
-    tried_minima_first = False
     avoided = []
     for r in to_avoid:
-        witness = next((sub for sub, rays in candidates if r not in rays), None)
-        if witness is None and not tried_minima_first:
-            tried_minima_first = True
-            candidates += _minima_first_candidate(sigma, locus)
-            witness = next((sub for sub, rays in candidates if r not in rays),
-                           None)
+        witness = next((sub for sub, rays in zip(subs, ray_sets)
+                        if r not in rays), None)
         if witness is None:
             witness = avoidance_resolution(sigma, locus, r)
         avoided.append((r, witness))

@@ -18,7 +18,7 @@ from toricnash.errors import (
     NotPrimitive,
 )
 from toricnash.fans import Fan
-from toricnash.locus import face_locus
+from toricnash.locus import face_locus, region_contains
 
 QUADRANT = Cone.from_rays([(1, 0), (0, 1)])
 A1 = Cone.from_rays([(1, 0), (1, 2)])
@@ -231,7 +231,7 @@ def constructions(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("cone, most", [(CUBE, 0), (QUADRIC, 0),
+@pytest.mark.parametrize("cone, most", [(CUBE, 10), (QUADRIC, 2),
                                         (SIMPLEX_4D, 2)],
                          ids=["cube", "quadric", "simplex4d"])
 def test_witnesses_come_from_resolutions_at_hand(constructions, cone, most,
@@ -252,6 +252,7 @@ def test_witnesses_come_from_resolutions_at_hand(constructions, cone, most,
         if omitting:
             assert sub is omitting[0]
         else:
+            assert ray in constructions
             assert all(sub is not s for s in report.samples)
 
 
@@ -263,18 +264,10 @@ def test_witnesses_are_deterministic():
         [(r, s.refined) for r, s in second.avoided]
 
 
-def test_failed_minima_first_falls_back_to_avoidance(constructions,
-                                                     monkeypatch):
-    """With one sample every avoided ray is one of its rays, so only the
-    minima-first resolution or a construction can witness it."""
+def test_rays_of_every_sample_are_constructed(constructions):
+    """With one sample every avoided ray is one of its rays, so each needs
+    its own avoidance construction."""
     y = face_locus(QUADRIC, [])
-    nash.certify_essential(y, samples=1)
-    assert constructions == []
-
-    def fail(sigma, locus):
-        raise ConstructionFailed("refused")
-
-    monkeypatch.setattr(nash, "minima_first_resolution", fail)
     report = nash.certify_essential(y, samples=1)
     assert report.avoided
     assert constructions == [ray for ray, _ in report.avoided]
@@ -282,10 +275,20 @@ def test_failed_minima_first_falls_back_to_avoidance(constructions,
         assert sub.refined == fs.avoidance_resolution(QUADRIC, y, ray).refined
 
 
-def test_minima_first_resolution_carries_the_minima(cube_locus):
-    sub = fs.minima_first_resolution(CUBE, cube_locus)
-    assert fs.is_locus_resolution(sub, cube_locus)
-    assert set(nash.minimal_region_points(cube_locus)) <= set(sub.refined.rays())
+def test_avoidance_on_the_cube(cube_locus):
+    """The construction itself on a non-simplicial 4d cone, for rays of the
+    seed-0 sample that samples alone may witness."""
+    sample = fs.make_locus_resolution(CUBE, cube_locus)
+    minima = set(nash.minimal_region_points(cube_locus))
+    rays = [r for r in sample.refined.rays()
+            if r not in minima and region_contains(cube_locus, r)]
+    assert len(rays) >= 3
+    for w in rays[:3]:
+        sub = fs.avoidance_resolution(CUBE, cube_locus, w)
+        assert w not in sub.refined.rays()
+        assert fs.is_locus_resolution(sub, cube_locus)
+        ok, diag = sub.validate()
+        assert ok, diag
 
 
 def test_validate_is_computed_once_per_subdivision(cube_locus):
