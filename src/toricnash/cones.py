@@ -3,8 +3,9 @@
 A Cone is stored canonically: primitive extreme rays sorted lexicographically,
 a Hermite-form basis of the lineality lattice (empty when pointed), plus
 facet normals and span equations obtained from the dual description.  All
-derived data (faces, Hilbert basis, grading functional, multiplicity) is
-computed lazily and cached idempotently, so concurrent readers are safe.
+derived data (faces, triangulation cells, Hilbert basis, grading functional,
+multiplicity) is computed lazily and cached idempotently, so concurrent readers
+are safe.
 
 Duality is computed with an exact double description method; supported ambient
 dimension is small (the library targets desk-scale instances of dimension <= 6).
@@ -127,7 +128,8 @@ class Cone:
     """
 
     __slots__ = ("_ambient", "_rays", "_lines", "_normals", "_span_eqs",
-                 "_faces", "_hb", "_ell", "_mult", "_levels", "_key", "_hash")
+                 "_faces", "_cells", "_hb", "_ell", "_mult", "_levels", "_key",
+                 "_hash")
 
     def __init__(self, ambient, rays, lines, normals, span_eqs):
         self._ambient = ambient
@@ -136,6 +138,7 @@ class Cone:
         self._normals = normals
         self._span_eqs = span_eqs
         self._faces = None
+        self._cells = None
         self._hb = None
         self._ell = None
         self._mult = None
@@ -415,6 +418,12 @@ def parallelepiped_points(gens, ambient_dim):
 
     Enumerated group-theoretically (one point per coset of the generated
     sublattice in its saturation), so the cost is exactly the multiplicity.
+    In the saturation's basis the gens are the columns of A, with Smith form
+    D = U A V.  The coset of U^-1 t has coefficients A^-1 U^-1 t = V D^-1 t on
+    the gens.  Scaled by N, the last invariant factor (every d_j divides it),
+    they are the integers V (N/d_j t_j); reduced mod N they are N times the
+    fractional parts, so the point is their combination of the gens divided
+    exactly by N.
     """
     gens = [la.vec(g) for g in gens]
     if not gens:
@@ -428,21 +437,30 @@ def parallelepiped_points(gens, ambient_dim):
         assert y is not None
         cols.append(y)
     A = la.transpose(la.mat(cols))  # columns are coordinates of the gens
-    D, U, V = la.smith_normal_form(A)
+    D, _, V = la.smith_normal_form(A)
     d = la.diagonal(D)
-    Uinv = la.unimodular_inverse(U)
-    # A^{-1} = V D^{-1} U as exact fractions
+    N = d[-1]
+    # column j of V scaled by N / d_j: the step of N * coefficients per t_j
+    steps = [tuple(V[i][j] * (N // d[j]) for i in range(k)) for j in range(k)]
     points = []
     for t in itertools.product(*(range(x) for x in d)):
-        y = la.mat_vec(Uinv, t)
-        lam = [sum(Fraction(V[i][j], d[j]) * la.dot(U[j], y) for j in range(k))
-               for i in range(k)]
-        frac = [x - (x.numerator // x.denominator) for x in lam]
-        y_red = [sum(A[i][j] * frac[j] for j in range(k)) for i in range(k)]
-        assert all(x.denominator == 1 for x in y_red)
-        y_red = [int(x) for x in y_red]
-        points.append(la.vec_mat(tuple(y_red), B))
+        mu = [sum(s[i] * tj for s, tj in zip(steps, t)) % N for i in range(k)]
+        points.append(tuple(sum(m * g[c] for m, g in zip(mu, gens)) // N
+                            for c in range(ambient_dim)))
     return tuple(sorted(points))
+
+
+def simplex_cells(c: Cone):
+    """((simplex rays, parallelepiped points), ...) over triangulate(c).
+
+    Computed once per cone: the Hilbert basis, the region minima and the star
+    centres of a simplicial cone all read these cells.
+    """
+    c._require_pointed()
+    if c._cells is None:
+        c._cells = tuple((s, parallelepiped_points(s, c.ambient_dim))
+                         for s in triangulate(c))
+    return c._cells
 
 
 def hilbert_basis(c: Cone):
@@ -458,8 +476,8 @@ def hilbert_basis(c: Cone):
         c._hb = ()
         return c._hb
     gens = set(c.rays)
-    for simplex in triangulate(c):
-        for p in parallelepiped_points(simplex, c.ambient_dim):
+    for _, points in simplex_cells(c):
+        for p in points:
             if not la.is_zero(p):
                 gens.add(p)
     basis = []

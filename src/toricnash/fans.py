@@ -41,8 +41,8 @@ from .cones import (
     intersect,
     is_smooth,
     multiplicity,
-    parallelepiped_points,
     positive_functional,
+    simplex_cells,
 )
 from .errors import (
     ConstructionFailed,
@@ -352,8 +352,8 @@ def _subdivision_candidates(c: Cone):
     cone: nonzero points of the half-open generator parallelepiped (none lie
     on an edge), ordered by grading level then lexicographically."""
     ell = positive_functional(c)
-    pts = [p for p in parallelepiped_points(c.rays, c.ambient_dim)
-           if not la.is_zero(p)]
+    (_, points), = simplex_cells(c)
+    pts = [p for p in points if not la.is_zero(p)]
     pts.sort(key=lambda p: (la.dot(ell, p), p))
     return pts
 

@@ -30,8 +30,7 @@ from .cones import (
     face_spanned_by,
     hilbert_basis,
     is_smooth,
-    parallelepiped_points,
-    triangulate,
+    simplex_cells,
 )
 from .errors import EmptyLocus, NotInRegion, NotProper, ValidationError
 
@@ -220,9 +219,9 @@ def _region_minima(locus: FaceLocus | MarkedFaces):
         sigma = locus.cone
         dim = sigma.ambient_dim
         candidates = set()
-        for simplex in triangulate(sigma):
+        for simplex, points in simplex_cells(sigma):
             cell = Cone.from_rays(simplex, dim)
-            for p in parallelepiped_points(simplex, dim):
+            for p in points:
                 support = face_spanned_by(cell, (p,)).rays
                 rest = [g for g in simplex if g not in support]
                 for k in range(len(rest) + 1):

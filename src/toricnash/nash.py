@@ -4,8 +4,9 @@ ideals, contact-locus components, and the orbit-closure order on arc classes.
 Region minima are computed in locus.minimal_region_points, from a finite
 candidate set, and re-exported here as the same object.  The generators of the
 ideal of a locus are the region minima of a marked-face family on the dual
-cone.  Contact loci are found breadth-first by levels of the cone's grading
-functional, up to a proven level cap that scales with the contact order (see
+cone.  Contact loci come from a finite candidate set too: on each chamber of
+the cone where one generator attains the order, the order is linear, and the
+candidates of a simplex of the chamber solve a bounded knapsack (see
 contact_components).
 """
 
@@ -17,13 +18,11 @@ from dataclasses import dataclass
 from . import intlinalg as la
 from .cones import (
     Cone,
-    cone_leq,
     dual_cone,
     enumerate_faces,
     face_spanned_by,
     hilbert_basis,
-    points_up_to_level,
-    positive_functional,
+    simplex_cells,
     smallest_containing_face,
 )
 from .errors import EmptyLocus, ValidationError
@@ -123,31 +122,61 @@ def contact_components(ideal: MonomialIdeal, n: int):
     """Minimal lattice points v of {ord(v) == n}, where ord(v) is the least
     pairing of v against the ideal's generators.
 
-    The components lie at levels at most n times the sum of the Hilbert basis
-    levels.  Write a minimal contact point v as a sum of Hilbert basis
-    elements and suppose some h is used more than n times.  For each generator
-    u, either <h, u> = 0 and <v - h, u> = <v, u> >= n, or <h, u> >= 1 and
-    <v - h, u> >= n <h, u> >= n, since v - h still holds at least n copies of
-    h.  So ord(v - h) >= n; and ord is monotone in the cone order, so
-    ord(v - h) <= ord(v) = n, and v - h is a contact point below v, against
-    minimality.  Hence every coefficient is at most n.
+    ord is monotone in the cone order (generators pair nonnegatively with the
+    cone), so these are the minima of the upward-closed set {ord >= n} that
+    have ord = n, and one-step reduction decides minimality there: if w < v
+    with ord(w) >= n, write v - w as a sum of Hilbert basis elements and take
+    one of them, h; then v - h >= w, so ord(v - h) >= n.
 
-    Scanning levels upward, a point is minimal iff it dominates no previously
-    found minimal point: any smaller contact point would itself dominate a
-    minimal one at a strictly lower level (two distinct comparable points
-    cannot share a level).
+    The candidates are finite.  For a generator u, the chamber C_u, where u
+    attains the minimum, is sigma cut by <., u' - u> >= 0 for every generator
+    u', and ord = <., u> on it.  The chambers cover sigma, and so do the
+    full-dimensional ones alone: the others lie in finitely many proper
+    subspaces of sigma's span, the full-dimensional ones form a closed set,
+    and sigma minus those subspaces is dense in sigma.  Let v be a component,
+    in a simplex of the triangulation of a full-dimensional C_u, with rays g;
+    write v = p + sum k_g g, with k_g integers and p the point of the simplex's
+    half-open parallelepiped holding the fractional parts.  If k_g >= 1 for a
+    g with <g, u> = 0, then v - g still lies in C_u with ord(v - g) = n, and
+    below v: so k_g = 0 for those g, and <p, u> + sum k_g <g, u> = n, a
+    bounded knapsack over the g with <g, u> >= 1.  Every solution lies in C_u
+    and has ord exactly n, and the reduction test keeps exactly the minima.
     """
     if n < 1:
         raise ValidationError("contact order must be a positive integer")
     sigma = ideal.sigma
-    ell = positive_functional(sigma)
-    cap = n * sum(la.dot(ell, h) for h in hilbert_basis(sigma))
-    out = []
-    for v in points_up_to_level(sigma, cap):
-        if ideal.min_pairing(v) == n and not any(cone_leq(sigma, m, v)
-                                                 for m in out):
-            out.append(v)
-    return tuple(sorted(out))
+    dim = sigma.ambient_dim
+    candidates = set()
+    for u in ideal.generators:
+        chamber = dual_cone(Cone.from_generators(
+            dim, rays=sigma.facet_normals + tuple(
+                la.vsub(w, u) for w in ideal.generators),
+            lines=sigma.span_equations))
+        if chamber.dim < sigma.dim:
+            continue
+        for simplex, points in simplex_cells(chamber):
+            steps = [(g, la.dot(g, u)) for g in simplex if la.dot(g, u) > 0]
+            for p in points:
+                candidates.update(_knapsack(steps, n - la.dot(p, u), p))
+    basis = hilbert_basis(sigma)
+    return tuple(sorted(
+        v for v in candidates
+        if not any(sigma.contains(w) and ideal.min_pairing(w) >= n
+                   for w in (la.vsub(v, h) for h in basis))))
+
+
+def _knapsack(steps, rest, base):
+    """base + sum k_g g over k >= 0 with sum k_g w_g == rest, for the
+    (g, w_g) in steps, every w_g >= 1."""
+    if not steps:
+        if rest == 0:
+            yield base
+        return
+    (g, w), tail = steps[0], steps[1:]
+    for _ in range(rest // w + 1 if rest >= 0 else 0):
+        yield from _knapsack(tail, rest, base)
+        rest -= w
+        base = la.vadd(base, g)
 
 
 # ---------------------------------------------------------------------------

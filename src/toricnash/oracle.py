@@ -1,14 +1,14 @@
 """Brute-force cross-checks used by the --oracle flag and the test suite.
 
 Each oracle enumerates every cone point up to a level cap outright and decides
-minimality by pairwise domination, independently of the candidate set of
-minimal_region_points and of the incremental minimality test of
+minimality by pairwise domination, independently of the candidate sets and
+the one-step minimality tests of minimal_region_points and
 contact_components.  The default caps are proven level bounds: a region
 minimum uses each Hilbert basis element at most once, and a contact component
 of order n at most n times, or a repeated summand could be peeled off.  So
-agreement below them is an exact equality of sets.  The contact cap is the
-same bound contact_components scans to, so for contact loci what the oracle
-checks independently is minimality, not the cap.
+agreement below them is an exact equality of sets.  Neither algorithm scans
+levels, so the oracle checks both the reach of its candidates (against the
+cap) and their minimality.
 """
 
 from __future__ import annotations
@@ -54,8 +54,17 @@ def brute_contact_components(ideal: MonomialIdeal, n: int, cap: int):
 
 
 def default_contact_cap(ideal: MonomialIdeal, n: int) -> int:
-    """Level bound below which every minimal contact point lives; the proof
-    is in the docstring of nash.contact_components."""
+    """Level bound below which every minimal contact point lives: n times the
+    sum of the Hilbert basis levels.
+
+    Write a minimal contact point v as a sum of Hilbert basis elements and
+    suppose some h is used more than n times.  For each generator u, either
+    <h, u> = 0 and <v - h, u> = <v, u> >= n, or <h, u> >= 1 and
+    <v - h, u> >= n <h, u> >= n, since v - h still holds at least n copies of
+    h.  So ord(v - h) >= n; and ord is monotone in the cone order, so
+    ord(v - h) <= ord(v) = n, and v - h is a contact point below v, against
+    minimality.  Hence every coefficient is at most n.
+    """
     from .cones import hilbert_basis
     sigma = ideal.sigma
     ell = positive_functional(sigma)

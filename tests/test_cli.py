@@ -58,6 +58,32 @@ def test_nash_and_contact_results(tmp_path, capsys):
     assert json.loads(out.out)["results"]["components"] == [[2, 2]]
 
 
+CYCLIC_IDEAL = {"kind": "ideal-query", "dim": 3,
+                "cone": {"rays": [[1, 0, 0], [0, 1, 0], [1, 2, 3]]},
+                "ideal": [[0, 0, 1], [0, 1, 0], [0, 2, -1], [0, 3, -2],
+                          [1, 0, 0], [1, 1, -1], [3, 0, -1]], "n": 2}
+
+
+def test_contact_oracle_checks_components(tmp_path, capsys, monkeypatch):
+    code, out = run(tmp_path, capsys, "contact", CYCLIC_IDEAL, "--format", "json")
+    assert code == cli.EXIT_OK
+    plain = json.loads(out.out)["results"]
+    assert plain["components"] == [[2, 2, 2], [2, 3, 3], [2, 4, 4]]
+    code, out = run(tmp_path, capsys, "contact", CYCLIC_IDEAL, "--format",
+                    "json", "--oracle")
+    assert code == cli.EXIT_OK
+    checked = json.loads(out.out)["results"]
+    assert checked["oracle"]["checked"] is True
+    assert checked["components"] == plain["components"]
+    real = cli.contact_components
+    monkeypatch.setattr(cli, "contact_components",
+                        lambda ideal, n: real(ideal, n)[1:])
+    code, out = run(tmp_path, capsys, "contact", CYCLIC_IDEAL, "--oracle")
+    assert code == cli.EXIT_INTERNAL
+    assert "oracle disagreement" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_avoided_rays_index_shared_witnesses(tmp_path, capsys):
     """Each avoided ray names a witness resolution, listed once, that omits
     it; on the cube pair several rays share one."""

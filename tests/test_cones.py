@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -192,6 +193,65 @@ def test_hilbert_basis_properties():
                 y = la.vsub(h, x)
                 assert la.is_zero(y) or y not in monoid or not c.contains(y) or \
                     x == h or la.is_zero(x)
+
+
+def _fraction_inverse(M):
+    """Gauss-Jordan inverse over the rationals, or None if M is singular."""
+    k = len(M)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(M)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if A[r][col] != 0), None)
+        if piv is None:
+            return None
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(k):
+            if r != col and A[r][col] != 0:
+                A[r] = [x - A[r][col] * y for x, y in zip(A[r], A[col])]
+    return [row[k:] for row in A]
+
+
+def box_parallelepiped(gens, dim):
+    """Lattice points of {sum t_j g_j : 0 <= t_j < 1} by a box scan: the
+    coefficients of each box point are solved in Fractions on k coordinates
+    where the gens are independent, then checked on every coordinate."""
+    k = len(gens)
+    for rows in itertools.combinations(range(dim), k):
+        inv = _fraction_inverse([[g[i] for g in gens] for i in rows])
+        if inv is not None:
+            break
+    box = [range(sum(min(0, g[i]) for g in gens),
+                 sum(max(0, g[i]) for g in gens) + 1) for i in range(dim)]
+    out = []
+    for x in itertools.product(*box):
+        t = [sum(a * x[i] for a, i in zip(row, rows)) for row in inv]
+        if all(0 <= tj < 1 for tj in t) and all(
+                sum(tj * g[i] for tj, g in zip(t, gens)) == x[i]
+                for i in range(dim)):
+            out.append(x)
+    return tuple(out)
+
+
+def test_parallelepiped_points_match_box_scan():
+    rng = random.Random(2024)
+    seen = []
+    while len(seen) < 60:
+        dim = rng.randint(1, 4)
+        k = rng.randint(1, dim)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(k)]
+        if la.rank(gens) < k:
+            continue
+        volume = 1
+        for i in range(dim):
+            volume *= sum(abs(g[i]) for g in gens) + 1
+        if volume > 3000 or la.sublattice_index(gens) > 60:
+            continue
+        want = box_parallelepiped(gens, dim)
+        assert cg.parallelepiped_points(gens, dim) == want, gens
+        seen.append((dim - k, len(want)))
+    assert any(gap > 0 and mult > 1 for gap, mult in seen)
+    assert max(mult for _, mult in seen) >= 30
 
 
 def test_cone_leq():

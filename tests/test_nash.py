@@ -318,6 +318,90 @@ def test_contact_components_match_oracle():
         done += 1
 
 
+SIMPLEX_4D = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 7))
+CUBE_5D = tuple((a, b, c, d, 1) for a in (0, 1) for b in (0, 1)
+                for c in (0, 1) for d in (0, 1))
+
+
+def singular_locus_ideal(rays):
+    return nash.faces_to_ideal(face_locus(Cone.from_rays(rays)))
+
+
+def assert_contact_matches_oracle(ideal, orders):
+    for n in orders:
+        want = oracle.brute_contact_components(
+            ideal, n, oracle.default_contact_cap(ideal, n))
+        assert nash.contact_components(ideal, n) == want
+
+
+@pytest.mark.parametrize("sigma, gens", [
+    # (1, 1) is no vertex of the Newton polygon: its chamber is a ray
+    (QUADRANT, ((2, 0), (1, 1), (0, 2))),
+    # (2, 1) pairs at least as much as (1, 0) everywhere: its chamber is 0
+    (QUADRANT, ((1, 0), (2, 1))),
+    # a 2d cone in Z^3, so no chamber is full-dimensional in the ambient space
+    (Cone.from_rays([(1, 0, 0), (1, 2, 0)]), ((0, 1, 0), (1, 0, 5), (2, -1, 1))),
+])
+def test_contact_chambers_degenerate_match_oracle(sigma, gens):
+    assert_contact_matches_oracle(nash.MonomialIdeal(sigma, gens), range(1, 5))
+
+
+def test_contact_nonsimplicial_quadric_matches_oracle():
+    assert_contact_matches_oracle(singular_locus_ideal(QUADRIC.rays),
+                                  range(1, 6))
+
+
+def test_contact_4d_simplex_matches_oracle():
+    assert_contact_matches_oracle(singular_locus_ideal(SIMPLEX_4D), (1,))
+
+
+def test_contact_frontier_instances():
+    """Beyond the oracle's reach; the lists are the output of the level scan
+    that bounded contact points by n times the Hilbert basis levels."""
+    assert nash.contact_components(singular_locus_ideal(SIMPLEX_4D), 2) == (
+        (2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 2, 4), (2, 2, 3, 5), (2, 2, 4, 6),
+        (2, 3, 3, 6), (2, 3, 4, 7), (2, 3, 4, 8), (2, 3, 5, 9), (2, 4, 5, 10),
+        (2, 4, 6, 11), (2, 4, 6, 12))
+    assert nash.contact_components(singular_locus_ideal(CUBE_5D), 1) == (
+        (0, 0, 1, 1, 2), (0, 1, 0, 1, 2), (0, 1, 1, 0, 2), (0, 1, 1, 2, 2),
+        (0, 1, 2, 1, 2), (0, 2, 1, 1, 2), (1, 0, 0, 1, 2), (1, 0, 1, 0, 2),
+        (1, 0, 1, 2, 2), (1, 0, 2, 1, 2), (1, 1, 0, 0, 2), (1, 1, 0, 2, 2),
+        (1, 1, 2, 0, 2), (1, 1, 2, 2, 2), (1, 2, 0, 1, 2), (1, 2, 1, 0, 2),
+        (1, 2, 1, 2, 2), (1, 2, 2, 1, 2), (2, 0, 1, 1, 2), (2, 1, 0, 1, 2),
+        (2, 1, 1, 0, 2), (2, 1, 1, 2, 2), (2, 1, 2, 1, 2), (2, 2, 1, 1, 2))
+
+
+def test_contact_zero_cone():
+    zero = Cone.from_rays([], 2)
+    assert nash.contact_components(nash.MonomialIdeal(zero, ((1, 0),)), 1) == ()
+
+
+def test_simplex_cells_computed_once_per_cone(monkeypatch):
+    """The Hilbert basis, the region minima and the contact chambers read
+    one cached set of parallelepiped points per cone (this cone is built by
+    no other test, so nothing is cached before it runs)."""
+    calls = []
+    real = cg.parallelepiped_points
+
+    def counting(gens, ambient_dim):
+        calls.append(tuple(gens))
+        return real(gens, ambient_dim)
+
+    monkeypatch.setattr(cg, "parallelepiped_points", counting)
+    sigma = Cone.from_rays([(1, 0, 0), (0, 1, 0), (2, 3, 11)])
+    cg.hilbert_basis(sigma)
+    assert len(calls) == len(cg.triangulate(sigma)) == 1
+    locus = face_locus(sigma)
+    nash.minimal_region_points(locus)
+    assert len(calls) == 1
+    ideal = nash.faces_to_ideal(locus)
+    assert nash.contact_components(ideal, 1)
+    first = len(calls)
+    nash.contact_components(ideal, 2)
+    nash.contact_components(ideal, 3)
+    assert len(calls) == first
+
+
 # -- certification ---------------------------------------------------------------
 
 def test_certify_essential_a1():
