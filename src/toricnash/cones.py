@@ -22,6 +22,7 @@ from .errors import (
     NonPointed,
     NotInCone,
     NotSimplicial,
+    ValidationError,
     ZeroVector,
 )
 
@@ -96,24 +97,22 @@ def _extreme_rays(dim, eqs, ineqs):
 
 def _canonical_lines_rays(dim, lines, rays):
     """Canonicalize a (lines, rays) pair: HNF lineality basis, rays reduced to
-    canonical lifts of their primitive quotient images, sorted and deduped."""
+    canonical lifts of their primitive quotient images, sorted and deduped.
+
+    The quotient by the lines and the lift back are those of
+    la.lattice_frame(lines, dim): the lift of q is (0, q) P.
+    """
     lines = tuple(l for l in lines if not la.is_zero(l))
     if not lines:
         out = sorted({la.primitive_part(r) for r in rays if not la.is_zero(r)})
         return (), tuple(out)
-    L = la.saturation_basis(lines)
-    P = la.complete_to_unimodular(L)
-    Pinv = la.unimodular_inverse(P)
-    k = len(L)
+    P, Q, k = la.lattice_frame(lines, dim)
     out = set()
     for r in rays:
-        c = la.vec_mat(r, Pinv)
-        q = c[k:]
-        if la.is_zero(q):
-            continue
-        q = la.primitive_part(q)
-        out.add(la.vec_mat(la.zero_vec(k) + q, P))
-    return L, tuple(sorted(out))
+        q = la.vec_mat(r, Q)[k:]
+        if not la.is_zero(q):
+            out.add(la.vec_mat(la.zero_vec(k) + la.primitive_part(q), P))
+    return P[:k], tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +246,30 @@ def dual_cone(c: Cone) -> Cone:
     """{u in M_R : <u, v> >= 0 for all v in c}, with primitive extreme rays."""
     return Cone.from_generators(c.ambient_dim, rays=c.facet_normals,
                                 lines=c.span_equations)
+
+
+def span_chart(c: Cone):
+    """(coords, lift_dual, chart): the dual of c in the lattice of its span.
+
+    In the frame la.lattice_frame(c.rays, d), coords gives a vector's
+    coordinates on la.saturation_basis(c.rays) and raises ValidationError
+    outside the span; chart is the dual of the cone of c's ray coordinates;
+    lift_dual extends a functional on the span lattice by zero on the
+    frame's complement, so <lift_dual(u), v> = <u, coords(v)>.
+    """
+    _, Q, k = la.lattice_frame(c.rays, c.ambient_dim)
+
+    def coords(v):
+        y = la.vec_mat(v, Q)
+        if not la.is_zero(y[k:]):
+            raise ValidationError(f"{v} is outside the span lattice")
+        return y[:k]
+
+    def lift_dual(u):
+        return la.mat_vec(Q, la.vec(u) + la.zero_vec(c.ambient_dim - k))
+
+    return coords, lift_dual, dual_cone(
+        Cone.from_rays([coords(r) for r in c.rays], k))
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
@@ -428,15 +451,10 @@ def parallelepiped_points(gens, ambient_dim):
     gens = [la.vec(g) for g in gens]
     if not gens:
         return (la.zero_vec(ambient_dim),)
-    B = la.saturation_basis(gens)
-    k = len(B)
+    _, Q, k = la.lattice_frame(gens, ambient_dim)
     assert k == len(gens), "generators must be linearly independent"
-    cols = []
-    for g in gens:
-        y = la.solve_in_basis(B, g)
-        assert y is not None
-        cols.append(y)
-    A = la.transpose(la.mat(cols))  # columns are coordinates of the gens
+    # columns are the coordinates of the gens on the saturation's basis
+    A = la.transpose([la.vec_mat(g, Q)[:k] for g in gens])
     D, _, V = la.smith_normal_form(A)
     d = la.diagonal(D)
     N = d[-1]

@@ -295,8 +295,8 @@ def minimal_regular_subdivision_2d(c: Cone) -> Subdivision:
     c._require_pointed()
     if c.dim != 2 or len(c.rays) != 2:
         raise WrongDimension("minimal regular subdivision needs a 2-dimensional cone")
-    B = la.saturation_basis(c.rays)
-    coords = {h: la.solve_in_basis(B, h) for h in hilbert_basis(c)}
+    _, Q, _ = la.lattice_frame(c.rays, c.ambient_dim)
+    coords = {h: la.vec_mat(h, Q)[:2] for h in hilbert_basis(c)}
 
     def cross(a, b):
         return a[0] * b[1] - a[1] * b[0]

@@ -2,7 +2,9 @@
 
 Vectors are tuples of Python ints, matrices are tuples of row tuples, so every
 value is immutable, hashable, and arbitrary precision.  No floats anywhere;
-rationals appear only transiently as Fractions inside solvers.
+rationals appear only transiently, as Fractions inside unimodular_inverse.
+Every change of lattice coordinates (into a saturated span, its quotient,
+and back) goes through lattice_frame.
 """
 
 from __future__ import annotations
@@ -258,13 +260,21 @@ def determinant(A) -> int:
 
 
 def unimodular_inverse(A) -> Mat:
-    """Inverse of a unimodular integer matrix, exact over the integers."""
+    """Inverse of a unimodular integer matrix, exact over the integers.
+
+    Raises ValidationError when A is not square, is singular, or has a
+    determinant other than +-1.
+    """
     A = mat(A)
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValidationError(f"cannot invert a non-square matrix {A!r}")
     aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
            for i, row in enumerate(A)]
     for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            raise ValidationError(f"cannot invert a singular matrix {A!r}")
         aug[c], aug[piv] = aug[piv], aug[c]
         inv = 1 / aug[c][c]
         aug[c] = [x * inv for x in aug[c]]
@@ -272,53 +282,9 @@ def unimodular_inverse(A) -> Mat:
             if i != c and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        assert all(x.denominator == 1 for x in vals), "matrix is not unimodular"
-        out.append(tuple(int(x) for x in vals))
-    return tuple(out)
-
-
-def solve_in_basis(basis, x):
-    """Integer coordinates of x in the given row basis, or None.
-
-    basis: k linearly independent rows.  Returns y with y * basis = x when x
-    lies in the integer row span, else None (also None when x is only in the
-    rational span).
-    """
-    basis = mat(basis)
-    k = len(basis)
-    if k == 0:
-        return () if is_zero(x) else None
-    n = len(basis[0])
-    # solve the transposed system with exact fractions
-    rows = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(x[i])]
-            for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if rows[i][k] != 0:
-            return None
-    y = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        y[c] = rows[i][k]
-    if any(v.denominator != 1 for v in y):
-        return None
-    return tuple(int(v) for v in y)
+    if any(x.denominator != 1 for row in aug for x in row[n:]):
+        raise ValidationError(f"matrix {A!r} is not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in aug)
 
 
 def saturation_basis(vectors) -> Mat:
@@ -336,20 +302,24 @@ def saturation_basis(vectors) -> Mat:
     return tuple(r for r in H if not is_zero(r))
 
 
-def complete_to_unimodular(B) -> Mat:
-    """Extend the rows of a saturated-lattice basis B to a unimodular matrix."""
-    B = mat(B)
-    if not B:
-        raise ValueError("cannot complete an empty basis without a dimension")
+def lattice_frame(vectors, dim: int) -> tuple[Mat, Mat, int]:
+    """(P, Q, k): a unimodular P whose first k rows are
+    saturation_basis(vectors), and Q = P^-1.
+
+    For c = v Q, v lies in the saturated span iff c[k:] == 0, and then c[:k]
+    are its coordinates on the basis; c[k:] is the image of v in the quotient
+    lattice Z^dim / span.  With U B V = (I_k | 0) the Smith form of the
+    saturated basis B, P is B over the last dim - k rows of V^-1 and
+    Q = V diag(U, I).  When k is 0 or dim, that is the identity.
+    """
+    B = saturation_basis(vectors)
     k = len(B)
-    n = len(B[0])
-    D, _, V = smith_normal_form(B)
-    d = diagonal(D)
-    assert all(x == 1 for x in d), "basis rows do not span a saturated lattice"
-    Vinv = unimodular_inverse(V)
-    P = B + tuple(Vinv[i] for i in range(k, n))
-    assert abs(determinant(P)) == 1
-    return P
+    if k in (0, dim):
+        return identity(dim), identity(dim), k
+    _, U, V = smith_normal_form(B)
+    P = B + unimodular_inverse(V)[k:]
+    Q = tuple(a + r[k:] for a, r in zip(matmul([r[:k] for r in V], U), V))
+    return P, Q, k
 
 
 def sublattice_index(generators) -> int:

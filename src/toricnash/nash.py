@@ -24,6 +24,7 @@ from .cones import (
     hilbert_basis,
     simplex_cells,
     smallest_containing_face,
+    span_chart,
 )
 from .errors import EmptyLocus, ValidationError
 from .fans import Fan, avoidance_resolution, make_locus_resolution
@@ -71,28 +72,6 @@ class MonomialIdeal:
         return min(la.dot(v, u) for u in self.generators)
 
 
-def _span_embedding(sigma: Cone):
-    """(coords, lift) maps between the ambient lattice and the span lattice."""
-    if not sigma.span_equations:
-        return (lambda v: la.vec(v)), (lambda v: la.vec(v))
-    B = la.saturation_basis(sigma.rays)
-    P = la.complete_to_unimodular(B)
-    Pinv = la.unimodular_inverse(P)
-    k = len(B)
-
-    def coords(v):
-        c = la.vec_mat(v, Pinv)
-        assert all(x == 0 for x in c[k:]), "vector is outside the span"
-        return c[:k]
-
-    def lift_dual(u):
-        # functional on the span lattice, extended by zero on the complement
-        return la.vec_mat(la.vec(u) + la.zero_vec(sigma.ambient_dim - k),
-                          la.transpose(Pinv))
-
-    return coords, lift_dual
-
-
 def faces_to_ideal(locus: FaceLocus) -> MonomialIdeal:
     """The invariant ideal cutting out the marked locus.
 
@@ -103,15 +82,11 @@ def faces_to_ideal(locus: FaceLocus) -> MonomialIdeal:
     the generators are its region minima.  They satisfy the bridge
     property: v is in the region iff every generator pairs >= 1 with v.
     """
-    sigma = locus.cone
-    coords, lift_dual = _span_embedding(sigma)
-    inner = Cone.from_rays([coords(r) for r in sigma.rays],
-                           sigma.dim if sigma.rays else sigma.ambient_dim)
-    dual = dual_cone(inner)
-    reps = [la.vsum([coords(r) for r in f.rays], inner.ambient_dim)
+    coords, lift_dual, dual = span_chart(locus.cone)
+    reps = [la.vsum([coords(r) for r in f.rays], dual.ambient_dim)
             for f in locus.minimal_faces()]
     gens = minimal_region_points(MarkedFaces(dual, tuple(reps)))
-    return MonomialIdeal(sigma, tuple(lift_dual(u) for u in gens))
+    return MonomialIdeal(locus.cone, tuple(lift_dual(u) for u in gens))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +270,10 @@ class OrbitComparison:
 
 
 def _quotient_map(ambient_dim, face_rays):
-    """Projection of the ambient lattice by the saturated span of the rays."""
-    if not face_rays:
-        return lambda v: la.vec(v), ambient_dim
-    B = la.saturation_basis(face_rays)
-    P = la.complete_to_unimodular(B)
-    Pinv = la.unimodular_inverse(P)
-    k = len(B)
-    return (lambda v: la.vec_mat(v, Pinv)[k:]), ambient_dim - k
+    """Projection of the ambient lattice by the saturated span of the rays:
+    the quotient coordinates of la.lattice_frame."""
+    _, Q, k = la.lattice_frame(face_rays, ambient_dim)
+    return (lambda v: la.vec_mat(v, Q)[k:]), ambient_dim - k
 
 
 def orbit_closure_leq(fan: Fan, tau, v, tau2, v2) -> OrbitComparison:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .cones import Cone, dual_cone, enumerate_faces, face_spanned_by
+from .cones import Cone, enumerate_faces, face_spanned_by, span_chart
 from .errors import EmptyLocus, NotProper, ValidationError
 from .locus import FaceLocus, face_locus
 from .nash import certify_essential
@@ -127,21 +127,6 @@ class ComponentPair:
     glued_faces: tuple
 
 
-def _intrinsic_chart(comp: Cone):
-    """Chart cone of a component: dual of the monomial cone in the lattice of
-    its span.  Returns (coords, chart_cone)."""
-    B = la.saturation_basis(comp.rays)
-
-    def coords(v):
-        y = la.solve_in_basis(B, v)
-        if y is None:
-            raise ValidationError(f"{v} is outside the component lattice")
-        return y
-
-    inner = Cone.from_rays([coords(r) for r in comp.rays], len(B))
-    return coords, dual_cone(inner)
-
-
 def component_pairs(c: STVComplex):
     """The toric pair of every component.
 
@@ -156,7 +141,7 @@ def component_pairs(c: STVComplex):
         raise ValidationError("; ".join(diag))
     out = []
     for idx, comp in enumerate(c.components):
-        coords, chart = _intrinsic_chart(comp)
+        coords, _, chart = span_chart(comp)
         glued = []
         for g in c.gluings:
             if g.i == idx:

@@ -98,12 +98,29 @@ def test_avoided_rays_index_shared_witnesses(tmp_path, capsys):
     assert len(witnesses) < len(avoided)
 
 
+TABLE_LINES = {
+    "info": ["  cone_dim: 3", "  hilbert_basis_count: 4"],
+    "hilbert": ["Hilbert basis:", "  (1,0,1)"],
+    "resolve": ["added rays: (1,1,1) (1,2,2) (2,1,1)", "maximal cones: 8"],
+    "nash": ["W (essential divisors):", "  (1,1,1)", "bijective: YES"],
+    "contact": ["contact order: 2", "  (2,2)"],
+    "stv-nash": ["good components:    2", "  component 0: W = (1,0)",
+                 "bijective: YES"],
+    "certify": ["  [PASS] minima present in sample 0",
+                "  [PASS] avoided ray [1, 2, 1]", "bijective: YES"],
+}
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_budget_options_rejected(tmp_path, capsys, command):
     doc = {"contact": A1_IDEAL, "stv-nash": PLANES_ALONG_LINE}.get(
         command, QUADRIC_PAIR)
-    code, _ = run(tmp_path, capsys, command, doc)
+    code, out = run(tmp_path, capsys, command, doc)
     assert code == cli.EXIT_OK
+    lines = out.out.splitlines()
+    assert lines[0].startswith(f"toric-nash {command} ")
+    for line in TABLE_LINES[command]:
+        assert line in lines
     for flag in ("--buffer", "--level-cap"):
         code, out = run(tmp_path, capsys, command, doc, flag, "5")
         assert code == cli.EXIT_INPUT

@@ -341,3 +341,18 @@ def test_unimodular_invariance_of_hilbert_basis():
         moved = Cone.from_rays([la.mat_vec(U, r) for r in c.rays], dim)
         hb1 = {la.mat_vec(U, h) for h in cg.hilbert_basis(c)}
         assert hb1 == set(cg.hilbert_basis(moved))
+
+
+@pytest.mark.parametrize("rays, normals, eqs, ell", [
+    ([(1, 2, 3), (2, 3, 7)], ((-3, 0, 1), (7, 0, -2)), ((5, -1, -1),),
+     (4, 0, -1)),
+    ([(1, 0, 0), (1, 2, 0)], ((0, 1, 0), (2, -1, 0)), ((0, 0, 1),),
+     (1, 0, 0))])
+def test_lower_dimensional_canonical_data(rays, normals, eqs, ell):
+    """The canonical facet normals of a cone that is not full-dimensional
+    are lifted through its lattice frame; they fix the grading functional,
+    and so the reported resolutions."""
+    c = Cone.from_rays(rays)
+    assert c.facet_normals == normals
+    assert c.span_equations == eqs
+    assert cg.positive_functional(c) == ell

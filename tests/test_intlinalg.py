@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toricnash import intlinalg as la
 from toricnash.errors import DependentGenerators, ZeroVector
@@ -154,20 +156,46 @@ def test_sublattice_index_unimodular_invariance():
 def test_kernel_and_saturation():
     B = la.saturation_basis([(2, 0, 2), (0, 4, 4)])
     # saturation of span{(1,0,1),(0,1,1)} is itself (already saturated)
-    assert len(B) == 2
-    assert la.solve_in_basis(B, (1, 0, 1)) is not None
-    assert la.solve_in_basis(B, (0, 1, 1)) is not None
+    assert B == ((1, 0, 1), (0, 1, 1))
+    _, Q, k = la.lattice_frame([(2, 0, 2), (0, 4, 4)], 3)
+    assert k == 2
+    assert la.vec_mat((1, 0, 1), Q) == (1, 0, 0)
+    assert la.vec_mat((0, 1, 1), Q) == (0, 1, 0)
 
 
-def test_complete_to_unimodular():
-    B = la.saturation_basis([(1, 2, 3)])
-    P = la.complete_to_unimodular(B)
-    assert abs(la.determinant(P)) == 1
-    assert P[0] == B[0]
+@pytest.mark.parametrize("vectors, P", [
+    ([(1, 2, 3)], ((1, 2, 3), (0, 1, 0), (0, 0, 1))),
+    ([(1, 2, 3), (2, 3, 7)], ((1, 0, 5), (0, 1, -1), (0, 0, 1))),
+    ([(1, 0, 0, 1), (0, 1, 0, 1), (1, 3, 7, 11)],
+     ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1))),
+    ([], la.identity(3))])
+def test_lattice_frame_completion(vectors, P):
+    """The completion rows fix the canonical facet normals of lower-
+    dimensional cones, and through them every reported resolution."""
+    got, Q, k = la.lattice_frame(vectors, len(P))
+    assert got == P
+    assert k == len(vectors)
+    assert la.matmul(P, Q) == la.identity(len(P))
 
 
-def test_solve_in_basis():
-    B = ((1, 0, 1), (0, 1, 1))
-    assert la.solve_in_basis(B, (2, 3, 5)) == (2, 3)
-    assert la.solve_in_basis(B, (1, 1, 1)) is None  # not in the rational span
-    assert la.solve_in_basis(((2, 0),), (1, 0)) is None  # rational, not integral
+@st.composite
+def frame_inputs(draw):
+    d = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-3, 3)] * d)
+    return d, draw(st.lists(vector, max_size=4)), draw(vector)
+
+
+@given(frame_inputs())
+def test_lattice_frame_properties(case):
+    d, vectors, w = case
+    P, Q, k = la.lattice_frame(vectors, d)
+    assert la.matmul(P, Q) == la.identity(d)
+    assert P[:k] == la.saturation_basis(vectors)
+    assert k == la.rank(vectors)
+    for v in vectors:
+        c = la.vec_mat(v, Q)
+        assert la.is_zero(c[k:])
+        assert la.vec_mat(c[:k] + la.zero_vec(d - k), P) == v
+    in_span = la.rank(list(vectors) + [w]) == k
+    assert la.is_zero(la.vec_mat(w, Q)[k:]) == in_span
+

@@ -546,3 +546,46 @@ def test_locus_from_spec_ideal():
         # this cone has a singular 2-dimensional face that the ideal misses
         c = Cone.from_rays([(1, 0, 0), (1, 2, 0), (0, 0, 1)])
         nash.locus_from_spec(c, {"ideal": [[0, 0, 1]]})
+
+
+# -- lower-dimensional inputs: outputs fixed by the lattice frame ---------------
+
+CYCLIC_IN_Z4 = Cone.from_rays([(1, 0, 0, 1), (0, 1, 0, 1), (1, 2, 3, 6)])
+
+
+def test_faces_to_ideal_lower_dimensional():
+    ideal = nash.faces_to_ideal(face_locus(CYCLIC_IN_Z4, []))
+    assert ideal.generators == (
+        (0, 0, 1, 0), (0, 1, 0, 0), (0, 2, -1, 0), (0, 3, -2, 0),
+        (1, 0, 0, 0), (1, 1, -1, 0), (3, 0, -1, 0))
+
+
+def test_certify_essential_sample_rays_lower_dimensional():
+    sigma = Cone.from_rays([(1, 0, 0, 1), (0, 1, 0, 1), (1, 3, 7, 11)])
+    report = nash.certify_essential(face_locus(sigma, []), samples=3, seed=0)
+    assert report.bijective
+    base = [(0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 1, 3), (1, 1, 2, 4),
+            (1, 2, 3, 6), (1, 2, 4, 7), (1, 3, 5, 9), (1, 3, 6, 10),
+            (1, 3, 7, 11)]
+    assert report.minimal_points == (
+        (1, 1, 1, 3), (1, 1, 2, 4), (1, 2, 3, 6), (1, 2, 4, 7),
+        (1, 3, 5, 9), (1, 3, 6, 10))
+    assert [s.refined.rays() for s in report.samples] == [
+        tuple(base),
+        tuple(sorted(base + [(1, 2, 2, 5), (1, 3, 4, 8), (2, 3, 6, 11)])),
+        tuple(sorted(base + [(1, 3, 4, 8)]))]
+
+
+@pytest.mark.parametrize("v, v2, holds", [
+    ((1, 1, 1), (1, 2, 3), False), ((1, 1, 1), (2, 3, 3), True),
+    ((1, 1, 1), (3, 5, 6), True), ((2, 1, 1), (1, 2, 3), False),
+    ((1, 2, 2), (2, 4, 5), True)])
+def test_orbit_closure_rank_two_quotient(v, v2, holds):
+    """The second stratum is a ray of a cyclic cone, so the order is read in
+    a quotient lattice of rank two."""
+    cyclic = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 3)])
+    fan = fs.Fan.of_cone(cyclic)
+    cmp = nash.orbit_closure_leq(fan, cg.face_spanned_by(cyclic, []), v,
+                                 cg.face_spanned_by(cyclic, [(1, 2, 3)]), v2)
+    assert bool(cmp) is holds
+    assert cmp.witness == (cyclic if holds else None)

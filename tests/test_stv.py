@@ -206,3 +206,22 @@ def test_component_permutation_independence():
 def test_gluing_rejects_non_int_entries(args):
     with pytest.raises(ValidationError):
         Gluing(*args)
+
+
+@pytest.mark.parametrize("rays, chart_rays", [
+    ([(1, 0, 1), (1, 3, 4)], ((0, 1), (3, -1))),
+    ([(1, 0, 1), (1, 4, 3)], ((0, 1), (2, -1)))])
+def test_chart_of_plane_component_in_z3(rays, chart_rays):
+    """The chart of a 2d component in Z^3 is read in its span lattice."""
+    (pair,) = stv.component_pairs(STVComplex(3, [Cone.from_rays(rays)], []))
+    assert pair.chart_cone.ambient_dim == 2
+    assert pair.chart_cone.rays == chart_rays
+    assert [f.rays for f in pair.locus.faces] == [chart_rays]
+
+
+@pytest.mark.parametrize("matrix, why", [
+    (((0, 0), (0, 1)), "singular"), (((2, 0), (0, 1)), "not unimodular"),
+    (((1, 0),), "non-square")])
+def test_transposed_rejects_non_invertible_matrix(matrix, why):
+    with pytest.raises(ValidationError, match=why):
+        Gluing(0, 1, (), (), matrix).transposed()
