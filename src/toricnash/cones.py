@@ -7,8 +7,11 @@ derived data (faces, triangulation cells, Hilbert basis, grading functional,
 multiplicity) is computed lazily and cached idempotently, so concurrent readers
 are safe.
 
-Duality is computed with an exact double description method; supported ambient
-dimension is small (the library targets desk-scale instances of dimension <= 6).
+Duality is computed with an exact double description method, except for
+full-dimensional simplicial cones, whose facet normals are the columns of one
+fraction-free adjugate of the ray matrix (see _cone_from_generators).
+Supported ambient dimension is small (the library targets desk-scale instances
+of dimension <= 6).
 """
 
 from __future__ import annotations
@@ -233,6 +236,33 @@ class Cone:
 
 @lru_cache(maxsize=None)
 def _cone_from_generators(ambient, rays, lines):
+    """The canonical cone generated by primitive sorted rays and an HNF
+    lineality basis.
+
+    A full-dimensional simplicial cone needs no double description.  With the
+    rays r_i as the rows of R and det R != 0, R adj(R) = det(R) I: column i
+    of adj(R) pairs to zero with every ray but r_i and to det(R) with r_i.
+    So sign(det) times that column, made primitive, is the inward normal of
+    the facet opposite r_i; every ray is extreme, there are no span
+    equations, and the multiplicity is |det R|.  Every other input (lines,
+    fewer or more rays than the dimension, dependent rays) takes the double
+    description.
+    """
+    if not lines and len(rays) == ambient:
+        det, adj = la.adjugate(rays)
+        if det:
+            sign = 1 if det > 0 else -1
+            normals = sorted(la.primitive_part(tuple(sign * row[i] for row in adj))
+                             for i in range(ambient))
+            cone = Cone(ambient, rays, (), tuple(normals), ())
+            cone._mult = abs(det)
+            return cone
+    return _double_description(ambient, rays, lines)
+
+
+def _double_description(ambient, rays, lines):
+    """The cone of _cone_from_generators for any input, by double
+    description: the dual description, then the primal back from it."""
     # dual description: {u : u.r >= 0 for rays, u.l = 0 for lines}
     dlines, drays = _extreme_rays(ambient, eqs=lines, ineqs=rays)
     span_eqs, normals = _canonical_lines_rays(ambient, dlines, drays)
@@ -406,11 +436,15 @@ def relint_contains(f: Face, v) -> bool:
 # ---------------------------------------------------------------------------
 
 def multiplicity(c: Cone) -> int:
-    """Index of the ray-generated sublattice in its saturation; 1 iff smooth."""
-    c._require_pointed()
-    if not c.is_simplicial:
-        raise NotSimplicial(f"{c!r} is not simplicial")
+    """Index of the ray-generated sublattice in its saturation; 1 iff smooth.
+
+    A full-dimensional simplicial cone carries it from construction, as
+    |det| of its rays; any other simplicial cone takes a Smith form on first
+    request.  Only pointed simplicial cones ever hold it."""
     if c._mult is None:
+        c._require_pointed()
+        if not c.is_simplicial:
+            raise NotSimplicial(f"{c!r} is not simplicial")
         c._mult = la.sublattice_index(c.rays) if c.rays else 1
     return c._mult
 

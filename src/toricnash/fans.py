@@ -6,7 +6,11 @@ with the facets of c that avoid v, the facets whose normal pairs positively
 with v (Fulton, Introduction to Toric Varieties, section 2.6).  Every face of
 c avoiding v lies in such a facet, so these joins are the maximal pieces;
 they have disjoint interiors and full dimension in c, and are built without
-the pairwise containment pruning of the public Fan constructor.  Pulling at
+the pairwise containment pruning of the public Fan constructor.  Where the
+caller knows the cone of the fan holding v in its relative interior, the
+cones containing v are the maximal cones having all its rays, found without
+a membership test; and a full-dimensional simplicial piece gets its facet
+normals from one adjugate, not a double description.  Pulling at
 an existing ray is the same operation; pulling every ray once, in one global
 order, triangulates any fan without new rays (De Loera, Rambau and Santos,
 Triangulations, ch. 4), which is how simplicialize works.
@@ -251,12 +255,25 @@ def _support_equality_problems(base: Fan, refined: Fan):
 # star subdivision
 # ---------------------------------------------------------------------------
 
-def _star_refine(fan: Fan, v: Vec) -> Fan:
-    """Join every cone containing v with its facets avoiding v (pull at v)."""
+def _star_refine(fan: Fan, v: Vec, face=None) -> Fan:
+    """Join every cone containing v with its facets avoiding v (pull at v).
+
+    face, when given, is the ray tuple of a cone F of the fan holding v in
+    its relative interior.  Then the maximal cones holding v are exactly
+    those whose rays include face's, and no membership test is needed.  If a
+    maximal cone c holds v, v lies in the relative interior of a face of c,
+    which is a cone of the fan; the relative interiors of a fan's cones
+    partition its support, so that face is F, and F's rays are rays of c.
+    Conversely, rays of c span a subcone of c, which then holds v.
+    """
     dim = fan.ambient_dim
     new_max = []
     for c in fan.max_cones:
-        if not c.contains(v):
+        if face is None:
+            holds = c.contains(v)
+        else:  # most cones lack face[0]; test that alone first
+            holds = face[0] in c.rays and all(r in c.rays for r in face[1:])
+        if not holds:
             new_max.append(c)
             continue
         for u in c.facet_normals:
@@ -341,7 +358,7 @@ def simplicialize(fan: Fan, rng=None) -> Subdivision:
         rng.shuffle(order)
     current = fan
     for ray in order:
-        current = _star_refine(current, ray)
+        current = _star_refine(current, ray, (ray,))
     if not all(c.is_simplicial for c in current.max_cones):
         raise InternalError("pulling every ray left a non-simplicial cone")
     return Subdivision(fan, current, ())
@@ -396,7 +413,8 @@ def resolve_smooth(fan: Fan, forbidden=(), rng=None) -> Subdivision:
                 f"every admissible center of {list(target.rays)} is forbidden",
                 cone=target, forbidden=forbidden)
         pick = cands[0] if rng is None else rng.choice(cands)
-        current = _star_refine(current, la.primitive_part(pick))
+        v = la.primitive_part(pick)
+        current = _star_refine(current, v, face_spanned_by(target, (v,)).rays)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +427,23 @@ def _locus_offenders(fan: Fan, locus: FaceLocus):
 
     The fan must be simplicial.  Then every subset of a maximal cone's rays
     spans a face, so the offenders are the marking subsets of each maximal
-    cone's unmarked rays.  Sorted by (dimension, rays).
+    cone's unmarked rays.  Those depend on the cone and the locus only, so
+    they are kept per cone in the locus's _offenders cache: a round of
+    make_locus_resolution scans only the pieces its last stars created.
+    Sorted by (dimension, rays).
     """
+    cache = locus._offenders
     out = set()
     for c in fan.max_cones:
-        free = [r for r in c.rays if not marks_cone(locus, (r,))]
-        for k in range(2, len(free) + 1):
-            for rays in itertools.combinations(free, k):
-                if marks_cone(locus, rays):
-                    out.add(rays)
+        found = cache.get(c)
+        if found is None:
+            free = [r for r in c.rays if not marks_cone(locus, (r,))]
+            found = cache[c] = tuple(
+                rays for k in range(2, len(free) + 1)
+                for rays in itertools.combinations(free, k)
+                if marks_cone(locus, rays))
+        if found:
+            out.update(found)
     return sorted(out, key=lambda rays: (len(rays), rays))
 
 
@@ -475,12 +501,13 @@ def make_locus_resolution(sigma: Cone, locus: FaceLocus, forbidden=(),
     forbidden = frozenset(la.vec(w) for w in forbidden)
     base = Fan.of_cone(sigma)
     current = resolve_smooth(base if start is None else start, forbidden, rng).refined
+    sigma_rays = set(sigma.rays)
     for _ in range(_MAX_RESOLUTION_ROUNDS):
         offenders = _locus_offenders(current, locus)
         if not offenders:
             sub = Subdivision(base, current,
                               tuple(r for r in current.rays()
-                                    if r not in set(sigma.rays)))
+                                    if r not in sigma_rays))
             if not is_locus_resolution(sub, locus):
                 raise InternalError("constructed subdivision failed its own check")
             return sub
@@ -490,7 +517,7 @@ def make_locus_resolution(sigma: Cone, locus: FaceLocus, forbidden=(),
         pts = _relint_point_candidates(Cone.from_rays(target, sigma.ambient_dim),
                                        forbidden)
         pick = pts[0] if rng is None else rng.choice(pts)
-        current = _star_refine(current, la.primitive_part(pick))
+        current = _star_refine(current, la.primitive_part(pick), target)
         current = resolve_smooth(current, forbidden, rng).refined
     raise InternalError("locus resolution did not terminate")
 

@@ -1,15 +1,14 @@
 """Exact integer linear algebra on plain tuples.
 
 Vectors are tuples of Python ints, matrices are tuples of row tuples, so every
-value is immutable, hashable, and arbitrary precision.  No floats anywhere;
-rationals appear only transiently, as Fractions inside unimodular_inverse.
+value is immutable, hashable, and arbitrary precision.  No floats and no
+rationals anywhere: inverses come from the fraction-free adjugate.
 Every change of lattice coordinates (into a saturated span, its quotient,
 and back) goes through lattice_frame.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DependentGenerators, ValidationError, ZeroVector
@@ -259,32 +258,54 @@ def determinant(A) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def unimodular_inverse(A) -> Mat:
-    """Inverse of a unimodular integer matrix, exact over the integers.
+def adjugate(A) -> tuple[int, Mat]:
+    """(det A, adj A) of a square integer matrix, so A adj(A) = det(A) I.
 
-    Raises ValidationError when A is not square, is singular, or has a
-    determinant other than +-1.
+    Fraction-free Gauss-Jordan elimination (Bareiss) on (A | I): every entry
+    stays an integer minor of (A | I), so each division is exact, and a
+    nonsingular A ends at (d I | d A^-1), for d the determinant of A with its
+    rows swapped as pivoting did.  Signed back, that right block is adj(A).
+    A singular A stops short of that; its adjugate is read off the cofactors.
     """
     A = mat(A)
     n = len(A)
     if any(len(row) != n for row in A):
-        raise ValidationError(f"cannot invert a non-square matrix {A!r}")
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        raise ValidationError(f"a non-square matrix {A!r} has no adjugate")
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k] != 0), None)
         if piv is None:
-            raise ValidationError(f"cannot invert a singular matrix {A!r}")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
+            return 0, tuple(tuple(
+                (-1) ** (i + j) * determinant(
+                    [r[:i] + r[i + 1:] for m, r in enumerate(A) if m != j])
+                for j in range(n)) for i in range(n))
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        pivot_row = M[k]
+        p = pivot_row[k]
         for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    if any(x.denominator != 1 for row in aug for x in row[n:]):
-        raise ValidationError(f"matrix {A!r} is not unimodular")
-    return tuple(tuple(int(x) for x in row[n:]) for row in aug)
+            if i != k:
+                f = M[i][k]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * a for a in row[n:]) for row in M)
+
+
+def unimodular_inverse(A) -> Mat:
+    """Inverse of a unimodular integer matrix: det(A) adj(A), det(A) = +-1.
+
+    Raises ValidationError when A is not square, is singular, or has a
+    determinant other than +-1.
+    """
+    det, adj = adjugate(A)
+    if det == 0:
+        raise ValidationError(f"cannot invert a singular matrix {mat(A)!r}")
+    if det not in (1, -1):
+        raise ValidationError(f"matrix {mat(A)!r} is not unimodular")
+    return adj if det == 1 else tuple(vneg(row) for row in adj)
 
 
 def saturation_basis(vectors) -> Mat:

@@ -56,12 +56,15 @@ def _zero_mask(normals, v):
 class _MaskLookup:
     """Per-locus caches: the masks of the vectors passed to marks_cone (rays
     of subdivisions and simplex points, not arbitrary region points), whether
-    a face mask is marked, and the region minima once computed."""
+    a face mask is marked, the region minima once computed, and, per maximal
+    cone of the simplicial fans that locus resolutions pass through, the
+    offending ray subsets that fans._locus_offenders found in it."""
 
     def _init_masks(self, marked):
         object.__setattr__(self, "_ray_masks", {})
         object.__setattr__(self, "_marked", marked)
         object.__setattr__(self, "_minima", None)
+        object.__setattr__(self, "_offenders", {})
 
     def _ray_mask(self, r) -> int:
         m = self._ray_masks.get(r)

@@ -3,6 +3,9 @@ simplicialization, certification of the 4d cube pair, and the finite candidate
 sets of the locus resolution and the avoidance construction."""
 
 import functools
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -304,3 +307,150 @@ def test_validate_is_computed_once_per_subdivision(cube_locus):
     kept = list(problems)
     problems.clear()
     assert dropped.validate() == (False, kept)
+
+
+# -- the local star engine against its references ------------------------------
+
+@pytest.fixture
+def checked_stars(monkeypatch):
+    """Holds every holder face the engine passes to its reference: the star
+    at v over face must equal the star found by the membership scan."""
+    faces = []
+    refine = fs._star_refine
+
+    def checked(fan, v, face=None):
+        got = refine(fan, v, face)
+        if face is not None:
+            assert got == refine(fan, v), (fan, v, face)
+            faces.append(face)
+        return got
+
+    monkeypatch.setattr(fs, "_star_refine", checked)
+    return faces
+
+
+@pytest.mark.parametrize("cone", [A1, QUADRIC, PENTAGON, SIMPLEX_4D, CUBE],
+                         ids=["a1", "quadric", "pentagon", "simplex4d", "cube"])
+def test_star_refine_over_a_face_matches_the_scan(checked_stars, cone):
+    fan = Fan.of_cone(cone)
+    for rng in (None, random.Random(1), random.Random(2)):
+        fs.simplicialize(fan, rng)
+        fs.resolve_smooth(fan, rng=rng)
+    fs.make_locus_resolution(cone, face_locus(cone, []))
+    assert any(len(face) > 1 for face in checked_stars)
+
+
+def test_offenders_of_a_warm_locus_match_a_fresh_one(monkeypatch):
+    """The per-cone offender cache changes no answer: on every fan that the
+    cube's three samples pass through, the warm locus gives the offenders of
+    a freshly built one."""
+    seen = []
+    offenders = fs._locus_offenders
+
+    def recorded(fan, locus):
+        got = offenders(fan, locus)
+        seen.append((fan, got))
+        return got
+
+    monkeypatch.setattr(fs, "_locus_offenders", recorded)
+    y = face_locus(CUBE, [])
+    for i in range(3):
+        fs.make_locus_resolution(CUBE, y, rng=nash._sample_rng(0, i))
+    assert any(got for _, got in seen) and y._offenders
+    for fan, got in seen:
+        assert got == offenders(fan, y) == offenders(fan, face_locus(CUBE, []))
+
+
+# -- locus resolutions pinned across changes of the engine ---------------------
+
+def resolution_digest(sub):
+    rays = sorted([list(r) for r in c.rays] for c in sub.refined.max_cones)
+    return hashlib.sha256(json.dumps(rays).encode()).hexdigest()
+
+
+# sha256 of the sorted max-cone ray lists of make_locus_resolution, recorded
+# before the adjugate pieces, the holder faces and the offender cache landed
+GOLDEN = {
+    "cube": "217bf1c8bb42e703214047b285cf2a551463aec50b43760a49b5ea58221fe878",
+    "cube-rng1": "67b4b67f4453c4407f3d92aa9cd73e034577650440461a24cc590c926bbc7132",
+    "simplex": "baa85655c7615845bdcb66c055bee81871cc907e8d5fe5b11a39cb2d4d3a36b2",
+}
+# the same for the quadric under each of its 47 loci, keyed by the locus's
+# minimal faces, each written as the indices of its rays in QUADRIC.rays
+GOLDEN_QUADRIC = {
+    "0": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "01": "7e8369a038d124254c3270059861bef60d0238ca419c3eb01ffc2298579ad83f",
+    "0123": "9a1dc558afc90c871727e5d9eb7ebe2b83389d6002cd4478e5bc081812f69478",
+    "01|02": "6630e40de7108480f9781b979b971686250cbc230bec5bfea77672725fe2fa82",
+    "01|02|13": "a2540d778e0a732df0808fcde002b2c3e4e4a1c3913e2d6a9164ebd4d5779212",
+    "01|02|13|23": "0433564c601de2c26f9c3396a5a549e9286b4a28de80fd45d2cbb763e233494c",
+    "01|02|23": "2f0f0a2ca76de2703af11759ab127d6859e83a0adb2ef5ecede55d56b383c42c",
+    "01|02|3": "b99cd188b8a5b42a59a30233abfaf794cc8f4914beb023a939d16606ca3c7498",
+    "01|13": "0dea6f1f32a79cdeb6c1100688fee4cf22526f9fa8b972b5ee5619f5772317a5",
+    "01|13|2": "3fec2026f93ccce7c2eb61f2ec000d3382b376fedc2cfb1b832f0c070a508060",
+    "01|13|23": "2de07db773f95c98cc70a25a89ee09bc63af92d2da787fbda7521d61a625f86e",
+    "01|2": "75ce54fb0242a846c5787f52eeaeda3290f6df6a8b1e909876981d90e3adbc8b",
+    "01|23": "cbe417a4aaaadee9f8ab0a76b1b279f4d8c4fcf259e414cbdcf770fe0f0e8bb8",
+    "01|2|3": "85c4b4fdb45f1411221680f10bb95e1338ede4dc3278ea86eca2e8845276d4f6",
+    "01|3": "85c4b4fdb45f1411221680f10bb95e1338ede4dc3278ea86eca2e8845276d4f6",
+    "02": "575d2d7ddd1d2a679af5071fb2455c10956ece6fc7691b4a6122461647c397a8",
+    "02|1": "0b67aa67ed99407e1505cf87a6425e112f8b041d6fee7ec059f90dba91d136a3",
+    "02|13": "4da63d2810630f4c0e543f9ac98bc742b63304f86b051bbf01302d28b1cdaae9",
+    "02|13|23": "52db203404645d8529bf897102ceca8347d8d63985a7a343348dd5425ecc8323",
+    "02|1|23": "4896b322b05d8584553aa9172f6f69c268b022b931657c8175f1d90ba13b5f58",
+    "02|1|3": "fb4ad429d38e41297d2ccca9d9197385255ac1ac119face5fe5b4646979a6274",
+    "02|23": "fe929e1d81847f94dc5ddb125b8a4e23f451376962c1f45f152426673c4dce10",
+    "02|3": "fb4ad429d38e41297d2ccca9d9197385255ac1ac119face5fe5b4646979a6274",
+    "0|1": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "0|13": "8925a5fcba29cf731faaff2594c4bd203f85372649dce4fd70a9fe82de2991a4",
+    "0|13|2": "8925a5fcba29cf731faaff2594c4bd203f85372649dce4fd70a9fe82de2991a4",
+    "0|13|23": "cc2f186b7c924d5faf534d6e1c4062eb281e48da614753cea563faa486f1a156",
+    "0|1|2": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "0|1|23": "2e55bd094e30fae743e810541a3d79498c5e2db40f5eb468f008076094455559",
+    "0|1|2|3": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "0|1|3": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "0|2": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "0|23": "2e55bd094e30fae743e810541a3d79498c5e2db40f5eb468f008076094455559",
+    "0|2|3": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "0|3": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "1": "0cc53809798560cffcbd39e8d7c427f6d26af687cc56d837ca22922e726e2c91",
+    "13": "a80ca6385acbe3087671a8c69f93e783f8e97dbbf252a838d91cfe7017d0a61a",
+    "13|2": "d1e256c9a351acb8214d5b32a6fcf44692d786f3e38fa4f6588ea03972c0d7cc",
+    "13|23": "a23c30c2c29f739dc2e321b2b2a57b4d48b076b4540b36c529c5e6a998e2659d",
+    "1|2": "0866eb7ddb3a6d313c4c6ce1c14b603445bee0b742489c96d48194a885b20f98",
+    "1|23": "e1a501cfcb48ac426d1b044b26d29269ac0f0808c86506fdeaca214c7a1030eb",
+    "1|2|3": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "1|3": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "2": "524104a1a32e04ff503fe0143f3fa59be74e22402bbab63f097e0d583ffcb0b4",
+    "23": "33892ef01e25813a789ca1857c78d86d638a57a07a92e1edac56e7349c8eb9d2",
+    "2|3": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+    "3": "14193e6f0532b2071380cbc1f8385592ebc117ff0866ba94e84789531312a90f",
+}
+
+
+def quadric_loci():
+    faces = [f for f in cg.enumerate_faces(QUADRIC) if f.rays]
+    loci = {}
+    for k in range(len(faces) + 1):
+        for seed in itertools.combinations(faces, k):
+            y = face_locus(QUADRIC, seed)
+            loci.setdefault(y.faces, y)
+    return loci.values()
+
+
+def test_locus_resolutions_match_golden_digests(cube_locus):
+    simplex = face_locus(SIMPLEX_4D, [])
+    got = {
+        "cube": fs.make_locus_resolution(CUBE, cube_locus),
+        "cube-rng1": fs.make_locus_resolution(CUBE, cube_locus,
+                                              rng=random.Random(1)),
+        "simplex": fs.make_locus_resolution(SIMPLEX_4D, simplex),
+    }
+    assert {k: resolution_digest(sub) for k, sub in got.items()} == GOLDEN
+    quadric = {}
+    for y in quadric_loci():
+        label = "|".join(sorted("".join(str(QUADRIC.rays.index(r))
+                                        for r in f.rays)
+                                for f in y.minimal_faces()))
+        quadric[label] = resolution_digest(fs.make_locus_resolution(QUADRIC, y))
+    assert quadric == GOLDEN_QUADRIC

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toricnash import intlinalg as la
-from toricnash.errors import DependentGenerators, ZeroVector
+from toricnash.errors import DependentGenerators, ValidationError, ZeroVector
 
 
 def det2(A):
@@ -103,6 +103,65 @@ def test_snf_random_properties():
             for x in d:
                 prod *= x
             assert prod == abs(la.determinant(A))
+
+
+def cofactor_adjugate(A):
+    """The adjugate by its definition: adj[i][j] = (-1)^(i+j) times the minor
+    of A without row j and column i."""
+    n = len(A)
+    return tuple(tuple((-1) ** (i + j) * la.determinant(
+        [r[:i] + r[i + 1:] for k, r in enumerate(A) if k != j])
+        for j in range(n)) for i in range(n))
+
+
+def test_adjugate_random_properties():
+    """A adj(A) = det(A) I on seeded random square matrices of size 1-6,
+    with det the Bareiss determinant and adj the cofactor matrix; about a
+    fifth are made singular by a dependent last row."""
+    rng = random.Random(13)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            k = rng.randint(-2, 2)
+            A[-1] = [k * a for a in A[0]]
+        det, adj = la.adjugate(A)
+        assert det == la.determinant(A)
+        assert la.matmul(A, adj) == tuple(la.vscale(det, r) for r in la.identity(n))
+        assert adj == cofactor_adjugate(la.mat(A))
+        singular += det == 0
+    assert singular > 50
+
+
+def test_adjugate_edge_cases():
+    assert la.adjugate(()) == (1, ())
+    assert la.adjugate([[0]]) == (0, ((1,),))
+    assert la.adjugate([[0, 0], [0, 0]]) == (0, ((0, 0), (0, 0)))
+    assert la.adjugate([[2, 1], [4, 2]]) == (0, ((2, -1), (-4, 2)))
+    with pytest.raises(ValidationError, match="non-square"):
+        la.adjugate([[1, 2]])
+
+
+def test_unimodular_inverse_random():
+    rng = random.Random(17)
+    for _ in range(200):
+        d = rng.randint(1, 6)
+        U = random_unimodular(rng, d)
+        if rng.random() < 0.5:
+            U = (la.vneg(U[0]),) + U[1:]
+        assert la.matmul(U, la.unimodular_inverse(U)) == la.identity(d)
+
+
+@pytest.mark.parametrize("A, why", [
+    (((1, 0),), "non-square"), (((1, 2), (2, 4)), "singular"),
+    (((2, 1), (1, 1)), None), (((2, 0), (0, 1)), "not unimodular")])
+def test_unimodular_inverse_rejects(A, why):
+    if why is None:
+        assert la.unimodular_inverse(A) == ((1, -1), (-1, 2))
+        return
+    with pytest.raises(ValidationError, match=why):
+        la.unimodular_inverse(A)
 
 
 def test_primitive_part():
