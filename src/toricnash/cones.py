@@ -9,7 +9,10 @@ are safe.
 
 Duality is computed with an exact double description method, except for
 full-dimensional simplicial cones, whose facet normals are the columns of one
-fraction-free adjugate of the ray matrix (see _cone_from_generators).
+fraction-free adjugate of the ray matrix (see _cone_from_generators).  A cone
+given by equations and inequalities is built by cone_from_inequalities, the
+one H-to-V entry point: a single double-description pass to its rays, then
+the V-side constructor.
 Supported ambient dimension is small (the library targets desk-scale instances
 of dimension <= 6).
 """
@@ -302,14 +305,24 @@ def span_chart(c: Cone):
         Cone.from_rays([coords(r) for r in c.rays], k))
 
 
+def cone_from_inequalities(ambient_dim, eqs=(), ineqs=()) -> Cone:
+    """The cone {x : <e, x> = 0 for e in eqs, <a, x> >= 0 for a in ineqs}.
+
+    One double-description pass gives its lines and rays; Cone.from_generators
+    canonicalizes them, so a full-dimensional simplicial result takes the
+    adjugate path.
+    """
+    lines, rays = _extreme_rays(ambient_dim, eqs=eqs, ineqs=ineqs)
+    return Cone.from_generators(ambient_dim, rays=rays, lines=lines)
+
+
 def intersect(c1: Cone, c2: Cone) -> Cone:
     """Intersection cone, from the combined inequality/equality descriptions."""
     if c1.ambient_dim != c2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    lines, rays = _extreme_rays(c1.ambient_dim,
-                                eqs=c1.span_equations + c2.span_equations,
-                                ineqs=c1.facet_normals + c2.facet_normals)
-    return Cone.from_generators(c1.ambient_dim, rays=rays, lines=lines)
+    return cone_from_inequalities(c1.ambient_dim,
+                                  eqs=c1.span_equations + c2.span_equations,
+                                  ineqs=c1.facet_normals + c2.facet_normals)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +529,17 @@ def simplex_cells(c: Cone):
 
 
 def hilbert_basis(c: Cone):
-    """Unique minimal generating set of the monoid c intersect Z^d.
+    """Unique minimal generating set of the monoid c intersect Z^d, sorted.
 
-    Triangulates the cone, collects the rays and the lattice points of each
-    half-open generator parallelepiped, then discards reducible elements.
+    The candidates are the rays and the nonzero lattice points of the
+    half-open parallelepipeds of triangulate(c); they hold the basis.  They
+    are reduced in order of grading level (Bruns and Ichim, "Normaliz:
+    algorithms for affine monoids and rational cones", J. Algebra 2010).  The
+    grading positive_functional(c) is at least 1 on every nonzero lattice
+    point of c, so a reducible g = a + b has summands of lower level, and
+    splitting a further ends at an irreducible h with g - h in c and
+    level(h) < level(g).  So g needs testing only against the basis elements
+    already kept at a lower level.
     """
     c._require_pointed()
     if c._hb is not None:
@@ -529,20 +549,14 @@ def hilbert_basis(c: Cone):
         return c._hb
     gens = set(c.rays)
     for _, points in simplex_cells(c):
-        for p in points:
-            if not la.is_zero(p):
-                gens.add(p)
-    basis = []
-    for g in sorted(gens):
-        reducible = False
-        for h in gens:
-            diff = la.vsub(g, h)
-            if not la.is_zero(diff) and h != g and diff in c:
-                reducible = True
-                break
-        if not reducible:
-            basis.append(g)
-    c._hb = tuple(basis)
+        gens.update(p for p in points if not la.is_zero(p))
+    ell = positive_functional(c)
+    kept = []  # (level, element) pairs, by nondecreasing level
+    for level, g in sorted((la.dot(ell, g), g) for g in gens):
+        lower = itertools.takewhile(lambda e: e[0] < level, kept)
+        if not any(c.contains(la.vsub(g, h)) for _, h in lower):
+            kept.append((level, g))
+    c._hb = tuple(sorted(g for _, g in kept))
     return c._hb
 
 

@@ -331,8 +331,11 @@ def lattice_frame(vectors, dim: int) -> tuple[Mat, Mat, int]:
     are its coordinates on the basis; c[k:] is the image of v in the quotient
     lattice Z^dim / span.  With U B V = (I_k | 0) the Smith form of the
     saturated basis B, P is B over the last dim - k rows of V^-1 and
-    Q = V diag(U, I).  When k is 0 or dim, that is the identity.
+    Q = V diag(U, I).  When k is 0 or dim, that is the identity; dim vectors
+    with a nonzero determinant have k = dim, so they take no Smith form.
     """
+    if len(vectors) == dim and determinant(vectors):
+        return identity(dim), identity(dim), dim
     B = saturation_basis(vectors)
     k = len(B)
     if k in (0, dim):

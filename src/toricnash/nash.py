@@ -7,18 +7,20 @@ ideal of a locus are the region minima of a marked-face family on the dual
 cone.  Contact loci come from a finite candidate set too: on each chamber of
 the cone where one generator attains the order, the order is linear, and the
 candidates of a simplex of the chamber solve a bounded knapsack (see
-contact_components).
+contact_components).  The chambers belong to the ideal, not to the order: each
+is cut out by its inequalities in one H-to-V pass
+(cones.cone_from_inequalities) and kept on the ideal for every later order.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import intlinalg as la
 from .cones import (
     Cone,
-    dual_cone,
+    cone_from_inequalities,
     enumerate_faces,
     face_spanned_by,
     hilbert_basis,
@@ -50,6 +52,9 @@ class MonomialIdeal:
 
     sigma: Cone
     generators: tuple
+    # ((u, C_u), ...) over the full-dimensional chambers, set by _chambers
+    _chambers: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         gens = tuple(sorted(la.strict_vec(u, "an ideal generator")
@@ -116,19 +121,16 @@ def contact_components(ideal: MonomialIdeal, n: int):
     below v: so k_g = 0 for those g, and <p, u> + sum k_g <g, u> = n, a
     bounded knapsack over the g with <g, u> >= 1.  Every solution lies in C_u
     and has ord exactly n, and the reduction test keeps exactly the minima.
+
+    Only the knapsack depends on n: the full-dimensional chambers depend on
+    the ideal alone, so they are built on its first query, each in one H-to-V
+    pass from the inequalities above, and kept on the ideal (_chambers).
     """
     if n < 1:
         raise ValidationError("contact order must be a positive integer")
     sigma = ideal.sigma
-    dim = sigma.ambient_dim
     candidates = set()
-    for u in ideal.generators:
-        chamber = dual_cone(Cone.from_generators(
-            dim, rays=sigma.facet_normals + tuple(
-                la.vsub(w, u) for w in ideal.generators),
-            lines=sigma.span_equations))
-        if chamber.dim < sigma.dim:
-            continue
+    for u, chamber in _chambers(ideal):
         for simplex, points in simplex_cells(chamber):
             steps = [(g, la.dot(g, u)) for g in simplex if la.dot(g, u) > 0]
             for p in points:
@@ -138,6 +140,24 @@ def contact_components(ideal: MonomialIdeal, n: int):
         v for v in candidates
         if not any(sigma.contains(w) and ideal.min_pairing(w) >= n
                    for w in (la.vsub(v, h) for h in basis))))
+
+
+def _chambers(ideal: MonomialIdeal):
+    """((u, C_u), ...) for the generators u whose chamber C_u has the
+    dimension of sigma, built once per ideal from the H-description
+    sigma cut by <., u' - u> >= 0 for every generator u'."""
+    if ideal._chambers is None:
+        sigma = ideal.sigma
+        out = []
+        for u in ideal.generators:
+            chamber = cone_from_inequalities(
+                sigma.ambient_dim, eqs=sigma.span_equations,
+                ineqs=sigma.facet_normals + tuple(
+                    la.vsub(w, u) for w in ideal.generators))
+            if chamber.dim == sigma.dim:
+                out.append((u, chamber))
+        object.__setattr__(ideal, "_chambers", tuple(out))
+    return ideal._chambers
 
 
 def _knapsack(steps, rest, base):

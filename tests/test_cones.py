@@ -172,13 +172,26 @@ def brute_monoid_points(c, box=6):
     return pts
 
 
+def ray_box(c):
+    """Per-coordinate bounds holding every Hilbert basis element: each one is
+    a ray or a point sum t_r r, 0 <= t_r < 1, over some of the rays."""
+    return [(sum(min(0, r[i]) for r in c.rays),
+             sum(max(0, r[i]) for r in c.rays)) for i in range(c.ambient_dim)]
+
+
 def brute_hilbert_basis(c, box=6):
     """Independent oracle: irreducible monoid points found by bounded search.
 
     Only valid when every Hilbert basis element has coordinates within the box;
-    used on small cones only.
+    used on small cones only.  With box=None the scan covers ray_box(c), which
+    holds the basis, and so every irreducible summand of a scanned point.
     """
-    pts = set(brute_monoid_points(c, box))
+    if box is None:
+        pts = {v for v in itertools.product(*(range(lo, hi + 1)
+                                              for lo, hi in ray_box(c)))
+               if not la.is_zero(v) and c.contains(v)}
+    else:
+        pts = set(brute_monoid_points(c, box))
     out = []
     for g in sorted(pts):
         if not any(h != g and c.contains(la.vsub(g, h)) and
@@ -223,6 +236,52 @@ def test_hilbert_basis_properties():
                 y = la.vsub(h, x)
                 assert la.is_zero(y) or y not in monoid or not c.contains(y) or \
                     x == h or la.is_zero(x)
+
+
+def test_hilbert_basis_matches_box_scan_on_cones_and_duals():
+    rng = random.Random(59)
+    for _ in range(60):
+        c = random_pointed_cone(rng, rng.randint(2, 3))
+        for x in (c, cg.dual_cone(c)):
+            if x.is_pointed:
+                assert cg.hilbert_basis(x) == brute_hilbert_basis(x, box=None)
+
+
+SIMPLEX_5D = Cone.from_rays([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                             (0, 0, 0, 1, 0), (1, 2, 3, 4, 7)])
+
+# recorded with the pairwise reduction that tested every candidate against
+# every other one
+SIMPLEX_5D_DUAL_BASIS = (
+    (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 0, 2, -1), (0, 0, 0, 7, -4),
+    (0, 0, 1, 0, 0), (0, 0, 1, 1, -1), (0, 0, 3, 0, -1), (0, 0, 5, 0, -2),
+    (0, 0, 7, 0, -3), (0, 1, 0, 0, 0), (0, 1, 0, 3, -2), (0, 1, 2, 0, -1),
+    (0, 1, 4, 0, -2), (0, 2, 0, 1, -1), (0, 2, 1, 0, -1), (0, 3, 0, 2, -2),
+    (0, 4, 0, 0, -1), (0, 5, 0, 1, -2), (0, 7, 0, 0, -2), (1, 0, 0, 0, 0),
+    (1, 0, 0, 5, -3), (1, 0, 2, 0, -1), (1, 1, 0, 1, -1), (1, 3, 0, 0, -1),
+    (2, 0, 0, 3, -2), (2, 1, 1, 0, -1), (3, 0, 0, 1, -1), (3, 2, 0, 0, -1),
+    (4, 0, 1, 0, -1), (5, 1, 0, 0, -1), (7, 0, 0, 0, -1))
+
+
+def test_hilbert_basis_of_5d_simplex_dual(monkeypatch):
+    """Each candidate is tested against kept basis elements only: at most
+    |candidates| x |basis| membership tests.  The pairwise reduction, which
+    tested each of the 2,405 candidates against the others, made 262,726.
+    The cone is rebuilt outside the constructor cache, so no earlier test
+    has computed its basis."""
+    dual = cg.dual_cone(SIMPLEX_5D)
+    fresh = Cone(dual.ambient_dim, dual.rays, dual.lines, dual.facet_normals,
+                 dual.span_equations)
+    calls = []
+    real = Cone.contains
+
+    def counting(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Cone, "contains", counting)
+    assert cg.hilbert_basis(fresh) == SIMPLEX_5D_DUAL_BASIS
+    assert 0 < len(calls) <= 2401 * 31
 
 
 def _fraction_inverse(M):
@@ -360,6 +419,34 @@ def test_intersect():
     assert i.rays == ((1, 2), (2, 1))
     j = cg.intersect(QUADRANT, Cone.from_rays([(-1, 0), (0, 1)]))
     assert j.rays == ((0, 1),)
+
+
+@pytest.mark.parametrize("c1, c2, rays, lines, normals, eqs", [
+    # the pairs of test_validate_fan_overlapping and test_validate_fan_blowup
+    (QUADRANT, Cone.from_rays([(1, 1), (-1, 1)]),
+     ((0, 1), (1, 1)), (), ((-1, 1), (1, 0)), ()),
+    (Cone.from_rays([(1, 0), (1, 1)]), Cone.from_rays([(1, 1), (0, 1)]),
+     ((1, 1),), (), ((0, 1),), ((1, -1),)),
+    (QUADRIC, Cone.from_rays([(1, 1, 0), (0, 0, 1), (1, 0, 0)]),
+     ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 2)), (),
+     ((0, 0, 1), (0, 1, 0), (1, -1, 0), (1, 1, -1)), ()),
+    (QUADRIC, Cone.from_generators(3, rays=[(1, 1, 1)], lines=[(1, -1, 0)]),
+     ((0, 2, 1), (2, 0, 1)), (), ((0, -1, 2), (0, 1, 0)), ((1, 1, -2),)),
+    (Cone.from_generators(3, rays=[(0, 1, 1)], lines=[(1, 0, 0)]),
+     Cone.from_generators(3, rays=[(0, 1, 0), (0, 1, 2)], lines=[(1, 0, 0)]),
+     ((0, 1, 1),), ((1, 0, 0),), ((0, 0, 1),), ((0, 1, -1),)),
+])
+def test_intersect_from_inequalities(c1, c2, rays, lines, normals, eqs):
+    """The canonical data was recorded before intersect went through
+    cone_from_inequalities; the dual of the sum of the duals is the same cone
+    by another route."""
+    meet = cg.intersect(c1, c2)
+    assert (meet.rays, meet.lines, meet.facet_normals, meet.span_equations) == (
+        rays, lines, normals, eqs)
+    assert meet == cg.dual_cone(Cone.from_generators(
+        c1.ambient_dim,
+        rays=c1.facet_normals + c2.facet_normals,
+        lines=c1.span_equations + c2.span_equations))
 
 
 def test_unimodular_invariance_of_hilbert_basis():

@@ -237,6 +237,39 @@ def test_lattice_frame_completion(vectors, P):
     assert la.matmul(P, Q) == la.identity(len(P))
 
 
+@pytest.mark.parametrize("vectors", [
+    [(2, 0), (0, 1)], [(1, 2, 3), (0, 1, 0), (0, 0, 7)]])
+def test_lattice_frame_full_rank_is_identity(monkeypatch, vectors):
+    """dim vectors with a nonzero determinant span a full-rank sublattice,
+    whose saturation is the whole lattice: the identity frame, with no
+    saturation basis computed, even when the sublattice has index > 1."""
+    def refuse(vs):
+        raise AssertionError(f"saturation_basis({vs}) was called")
+
+    monkeypatch.setattr(la, "saturation_basis", refuse)
+    d = len(vectors)
+    assert la.lattice_frame(vectors, d) == (la.identity(d), la.identity(d), d)
+
+
+@pytest.mark.parametrize("vectors, P, Q, k", [
+    ([(1, 2), (2, 4)], ((1, 2), (0, 1)), ((1, -2), (0, 1)), 1),
+    ([(1, 2, 3), (2, 4, 6), (0, 0, 1)],
+     ((1, 2, 0), (0, 0, 1), (0, 1, 0)), ((1, 0, -2), (0, 0, 1), (0, 1, 0)), 2)])
+def test_lattice_frame_singular_square_is_saturated(monkeypatch, vectors, P, Q, k):
+    """A square input of determinant 0 takes the saturation path; the frames
+    were recorded before full-rank inputs skipped it."""
+    calls = []
+    real = la.saturation_basis
+
+    def counting(vs):
+        calls.append(vs)
+        return real(vs)
+
+    monkeypatch.setattr(la, "saturation_basis", counting)
+    assert la.lattice_frame(vectors, len(vectors)) == (P, Q, k)
+    assert len(calls) == 1
+
+
 @st.composite
 def frame_inputs(draw):
     d = draw(st.integers(1, 4))

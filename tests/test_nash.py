@@ -334,16 +334,66 @@ def assert_contact_matches_oracle(ideal, orders):
         assert nash.contact_components(ideal, n) == want
 
 
-@pytest.mark.parametrize("sigma, gens", [
+NEWTON_POLYGON_CASES = [
     # (1, 1) is no vertex of the Newton polygon: its chamber is a ray
     (QUADRANT, ((2, 0), (1, 1), (0, 2))),
     # (2, 1) pairs at least as much as (1, 0) everywhere: its chamber is 0
     (QUADRANT, ((1, 0), (2, 1))),
     # a 2d cone in Z^3, so no chamber is full-dimensional in the ambient space
     (Cone.from_rays([(1, 0, 0), (1, 2, 0)]), ((0, 1, 0), (1, 0, 5), (2, -1, 1))),
-])
+]
+
+
+@pytest.mark.parametrize("sigma, gens", NEWTON_POLYGON_CASES)
 def test_contact_chambers_degenerate_match_oracle(sigma, gens):
     assert_contact_matches_oracle(nash.MonomialIdeal(sigma, gens), range(1, 5))
+
+
+def small_chamber_ideals():
+    ideals = [singular_locus_ideal(an_cone(n).rays) for n in range(1, 6)]
+    ideals.append(singular_locus_ideal(QUADRIC.rays))
+    return ideals + [nash.MonomialIdeal(sigma, gens)
+                     for sigma, gens in NEWTON_POLYGON_CASES]
+
+
+def double_dual_chambers(ideal):
+    """The full-dimensional chambers by the earlier route: the dual of the
+    cone generated by sigma's facet normals and the u' - u."""
+    sigma = ideal.sigma
+    out = []
+    for u in ideal.generators:
+        chamber = cg.dual_cone(Cone.from_generators(
+            sigma.ambient_dim, rays=sigma.facet_normals + tuple(
+                la.vsub(w, u) for w in ideal.generators),
+            lines=sigma.span_equations))
+        if chamber.dim == sigma.dim:
+            out.append((u, chamber))
+    return tuple(out)
+
+
+def test_cached_chambers_match_double_dual():
+    ideals = small_chamber_ideals() + [singular_locus_ideal(SIMPLEX_4D),
+                                       singular_locus_ideal(CUBE_5D)]
+    for ideal in ideals:
+        assert nash._chambers(ideal) == double_dual_chambers(ideal)
+        assert ideal._chambers is nash._chambers(ideal)
+
+
+def test_contact_orders_in_any_order_match_fresh_ideals():
+    for ideal in small_chamber_ideals():
+        got = {n: nash.contact_components(ideal, n) for n in (3, 1, 2)}
+        for n in (1, 2, 3):
+            fresh = nash.MonomialIdeal(ideal.sigma, ideal.generators)
+            assert got[n] == nash.contact_components(fresh, n)
+
+
+def test_cached_chambers_keep_ideal_equality():
+    ideal = singular_locus_ideal(QUADRIC.rays)
+    nash.contact_components(ideal, 1)
+    fresh = nash.MonomialIdeal(ideal.sigma, ideal.generators)
+    assert ideal._chambers is not None and fresh._chambers is None
+    assert ideal == fresh and hash(ideal) == hash(fresh)
+    assert repr(ideal) == repr(fresh)
 
 
 def test_contact_nonsimplicial_quadric_matches_oracle():
@@ -378,8 +428,9 @@ def test_contact_zero_cone():
 
 def test_simplex_cells_computed_once_per_cone(monkeypatch):
     """The Hilbert basis, the region minima and the contact chambers read
-    one cached set of parallelepiped points per cone (this cone is built by
-    no other test, so nothing is cached before it runs)."""
+    one cached set of parallelepiped points per cone, and each chamber is cut
+    out by one H-to-V pass per ideal, whatever the orders asked (this cone is
+    built by no other test, so nothing is cached before it runs)."""
     calls = []
     real = cg.parallelepiped_points
 
@@ -395,11 +446,28 @@ def test_simplex_cells_computed_once_per_cone(monkeypatch):
     nash.minimal_region_points(locus)
     assert len(calls) == 1
     ideal = nash.faces_to_ideal(locus)
+    # the H-to-V passes: a chamber's is the one whose inequalities are
+    # sigma's facet normals, then the u' - u
+    passes = []
+    real_passes = cg._extreme_rays
+
+    def counting_passes(dim, eqs, ineqs):
+        passes.append(tuple(ineqs))
+        return real_passes(dim, eqs, ineqs)
+
+    monkeypatch.setattr(cg, "_extreme_rays", counting_passes)
     assert nash.contact_components(ideal, 1)
-    first = len(calls)
+    first, first_passes = len(calls), len(passes)
     nash.contact_components(ideal, 2)
     nash.contact_components(ideal, 3)
     assert len(calls) == first
+    assert len(passes) == first_passes
+    normals = sigma.facet_normals
+    chamber_passes = [p[len(normals):] for p in passes
+                      if p[:len(normals)] == normals]
+    assert sorted(chamber_passes) == sorted(
+        tuple(la.vsub(w, u) for w in ideal.generators)
+        for u in ideal.generators)
 
 
 # -- certification ---------------------------------------------------------------
