@@ -3,9 +3,9 @@
 A Cone is stored canonically: primitive extreme rays sorted lexicographically,
 a Hermite-form basis of the lineality lattice (empty when pointed), plus
 facet normals and span equations obtained from the dual description.  All
-derived data (faces, triangulation cells, Hilbert basis, grading functional,
-multiplicity) is computed lazily and cached idempotently, so concurrent readers
-are safe.
+derived data (faces and the singular ones, triangulation cells, Hilbert
+basis, grading functional, multiplicity) is computed lazily and cached
+idempotently, so concurrent readers are safe.
 
 Duality is computed with an exact double description method, except for
 full-dimensional simplicial cones, whose facet normals are the columns of one
@@ -133,8 +133,8 @@ class Cone:
     """
 
     __slots__ = ("_ambient", "_rays", "_lines", "_normals", "_span_eqs",
-                 "_faces", "_cells", "_hb", "_ell", "_mult", "_levels", "_key",
-                 "_hash")
+                 "_faces", "_singular", "_cells", "_hb", "_ell", "_mult",
+                 "_levels", "_key", "_hash")
 
     def __init__(self, ambient, rays, lines, normals, span_eqs):
         self._ambient = ambient
@@ -143,6 +143,7 @@ class Cone:
         self._normals = normals
         self._span_eqs = span_eqs
         self._faces = None
+        self._singular = None
         self._cells = None
         self._hb = None
         self._ell = None

@@ -449,40 +449,51 @@ def _locus_offenders(fan: Fan, locus: FaceLocus):
 
 def is_locus_resolution(sub: Subdivision, locus: FaceLocus) -> bool:
     """True iff the refinement is smooth and the marked-locus preimage is a
-    divisor: every refined cone interior to the region carries a region ray."""
+    divisor: every refined cone interior to the region carries a region ray.
+
+    Raises SupportMismatch unless the base is the marked cone's fan and every
+    refined cone lies in that cone.  The cone is convex, so a refined cone
+    lies in it iff its rays do: each distinct ray of the refinement is tested
+    once, not once per cone holding it."""
     sigma = locus.cone
     if sub.base != Fan.of_cone(sigma):
         raise SupportMismatch("subdivision base is not the marked cone")
-    for c in sub.refined.max_cones:
-        if not _cone_subset(c, sigma):
-            raise SupportMismatch("refined cone leaves the marked cone")
+    if not all(sigma.contains(r) for r in sub.refined.rays()):
+        raise SupportMismatch("refined cone leaves the marked cone")
     if any(not is_smooth(c) for c in sub.refined.max_cones):
         return False
     return not _locus_offenders(sub.refined, locus)
 
 
-def _relint_point_candidates(c: Cone, forbidden):
-    """Relative-interior lattice points of c at the lowest grading level that
-    has one whose primitive part is not forbidden: those points, sorted.
+def _relint_point_candidates(rays, forbidden):
+    """Relative-interior lattice points of cone(rays) at the lowest grading
+    level that has one whose primitive part is not forbidden: those points,
+    sorted.
 
-    c is an offender of a smooth fan, so a smooth cone with at least two rays.
-    Its rays extend to a lattice basis, so its relative-interior lattice
-    points are s + sum b_i r_i, for s the ray sum and b >= 0, at extra level
-    sum b_i l(r_i) above l(s).  Let r_1 be a ray of least level.  The points
-    s + t r_1, t = 0..|forbidden|, are distinct and primitive (another ray has
-    coefficient 1), so one is admissible, at extra level at most |forbidden|
-    l(r_1).  Every point up to that extra level is listed, so the lowest
+    rays are those of an offender of a smooth fan, so of a smooth cone c with
+    at least two rays.  They extend to a lattice basis, so they are a basis
+    of the saturated lattice of their span, and c's canonical facet normals
+    restrict to the dual basis: the normal opposite r_i pairs to 1 with r_i
+    and to 0 with every other ray.  Their sum pairs to exactly 1 with every
+    ray, so it is primitive, and it is c's grading positive_functional(c),
+    of level 1 on every ray.  No cone is needed to read it.
+
+    The relative-interior lattice points of c are then s + sum b_i r_i, for
+    s the ray sum and b >= 0, at extra level sum b_i above s.  The points
+    s + t r_1, t = 0..|forbidden|, are distinct and primitive (another ray
+    has coefficient 1), so one is admissible, at extra level at most
+    |forbidden|.  Every point up to that extra level is listed, so the lowest
     admissible level is found whole.
     """
-    ell = positive_functional(c)
-    steps = [la.dot(ell, r) for r in c.rays]
-    cap = len(forbidden) * min(steps)
+    cap = len(forbidden)
+    dim = len(rays[0])
     by_extra = {}
-    for b in itertools.product(*(range(cap // s + 1) for s in steps)):
-        extra = la.dot(b, steps)
-        p = la.vsum([la.vscale(1 + k, r) for k, r in zip(b, c.rays)],
-                    c.ambient_dim)
-        if extra <= cap and la.primitive_part(p) not in forbidden:
+    for b in itertools.product(range(cap + 1), repeat=len(rays)):
+        extra = sum(b)
+        if extra > cap:
+            continue
+        p = la.vsum([la.vscale(1 + k, r) for k, r in zip(b, rays)], dim)
+        if la.primitive_part(p) not in forbidden:
             by_extra.setdefault(extra, []).append(p)
     return sorted(by_extra[min(by_extra)])
 
@@ -514,8 +525,7 @@ def make_locus_resolution(sigma: Cone, locus: FaceLocus, forbidden=(),
         top = len(offenders[-1])
         ties = [rays for rays in offenders if len(rays) == top]
         target = ties[0] if rng is None else rng.choice(ties)
-        pts = _relint_point_candidates(Cone.from_rays(target, sigma.ambient_dim),
-                                       forbidden)
+        pts = _relint_point_candidates(target, forbidden)
         pick = pts[0] if rng is None else rng.choice(pts)
         current = _star_refine(current, la.primitive_part(pick), target)
         current = resolve_smooth(current, forbidden, rng).refined

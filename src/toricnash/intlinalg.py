@@ -2,14 +2,21 @@
 
 Vectors are tuples of Python ints, matrices are tuples of row tuples, so every
 value is immutable, hashable, and arbitrary precision.  No floats and no
-rationals anywhere: inverses come from the fraction-free adjugate.
+rationals anywhere: vec() rejects them, and inverses come from the
+fraction-free adjugate.
 Every change of lattice coordinates (into a saturated span, its quotient,
 and back) goes through lattice_frame.
+
+The vector kernels (dot, vadd, vsub, gcd_vec, primitive_part, is_zero, vec)
+are the innermost loops of the library, so they run on C builtins: map over
+the operator functions, one gcd of all entries, any().  The binary ones
+check lengths first and raise ValueError on a mismatch.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add, index, mul, sub
 
 from .errors import DependentGenerators, ValidationError, ZeroVector
 
@@ -18,12 +25,17 @@ Mat = tuple[Vec, ...]
 
 
 def vec(xs) -> Vec:
-    return tuple(int(x) for x in xs)
+    """xs as a Vec.  Ints and bools pass; a float, Fraction or any other
+    entry without __index__ raises ValidationError instead of truncating."""
+    try:
+        return tuple(map(index, xs))
+    except TypeError:
+        raise ValidationError(f"vector entries must be integers, got {xs!r}") from None
 
 
 def strict_vec(xs, what="vector") -> Vec:
     """xs as a Vec, for input checks at library entry points: unlike vec(),
-    which coerces, it rejects any entry that is not an int (bools too)."""
+    which takes bools as 0 and 1, it rejects any entry that is not an int."""
     if not isinstance(xs, (tuple, list)) or \
        not all(type(x) is int for x in xs):
         raise ValidationError(f"{what} must be a sequence of ints, got {xs!r}")
@@ -39,15 +51,23 @@ def zero_vec(d: int) -> Vec:
 
 
 def is_zero(v) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
+
+
+def _length_mismatch(u, v):
+    return ValueError(f"vector lengths differ: {len(u)} != {len(v)}")
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise _length_mismatch(u, v)
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise _length_mismatch(u, v)
+    return tuple(map(add, u, v))
 
 
 def vsum(vs, d: int) -> Vec:
@@ -56,7 +76,9 @@ def vsum(vs, d: int) -> Vec:
 
 
 def vsub(u, v) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise _length_mismatch(u, v)
+    return tuple(map(sub, u, v))
 
 
 def vneg(v) -> Vec:
@@ -89,15 +111,15 @@ def vec_mat(v, A) -> Vec:
 
 
 def gcd_vec(v) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    return g
+    return gcd(*v)
 
 
 def primitive_part(v) -> Vec:
-    """v / gcd(coords); spans the same ray.  Raises ZeroVector on v = 0."""
-    g = gcd_vec(v)
+    """v / gcd(coords); spans the same ray.  Raises ZeroVector on v = 0 or
+    an empty v."""
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ZeroVector("primitive part of the zero vector is undefined")
     return tuple(a // g for a in v)

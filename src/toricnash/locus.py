@@ -29,16 +29,26 @@ from .cones import (
     enumerate_faces,
     face_spanned_by,
     hilbert_basis,
-    is_smooth,
     simplex_cells,
 )
 from .errors import EmptyLocus, NotInRegion, NotProper, ValidationError
 
 
 def singular_faces(sigma: Cone):
-    """Faces whose charts are singular; always an upward-closed family."""
+    """Faces whose charts are singular; always an upward-closed family.
+
+    A face is singular iff it has more than one ray and its rays are
+    dependent (more of them than its dimension) or generate a sublattice of
+    index above 1 in their saturation: that is is_smooth of the face's cone,
+    read off the rays by a rank and an index, with no cone and no double
+    description.  Computed once per cone and kept on it.
+    """
     sigma._require_pointed()
-    return frozenset(f for f in enumerate_faces(sigma) if not is_smooth(f.as_cone()))
+    if sigma._singular is None:
+        sigma._singular = frozenset(
+            f for f in enumerate_faces(sigma) if len(f.rays) > 1 and (
+                len(f.rays) != f.dim or la.sublattice_index(f.rays) != 1))
+    return sigma._singular
 
 
 def _zero_mask(normals, v):

@@ -7,7 +7,12 @@ import pytest
 from toricnash import cones as cg
 from toricnash import intlinalg as la
 from toricnash.cones import Cone
-from toricnash.errors import NonPointed, NotInCone, NotSimplicial
+from toricnash.errors import (
+    NonPointed,
+    NotInCone,
+    NotSimplicial,
+    ValidationError,
+)
 
 QUADRANT = Cone.from_rays([(1, 0), (0, 1)])
 A1 = Cone.from_rays([(1, 0), (1, 2)])
@@ -111,6 +116,19 @@ def test_is_smooth():
     assert cg.is_smooth(QUADRANT)
     assert not cg.is_smooth(A1)
     assert cg.is_smooth(Cone.from_rays([(2, 4)], 2))  # primitive generator (1,2)
+
+
+def test_non_integer_entries_are_rejected_not_truncated():
+    """int() would read (0.5, 1) as (0, 1) and (0.9, 0.5) as (0, 0)."""
+    with pytest.raises(ValidationError):
+        Cone.from_rays([(0.5, 1), (1, 0)])
+    with pytest.raises(ValidationError):
+        A1.contains((0.9, 0.5))
+    with pytest.raises(ValidationError):
+        Cone.from_rays([(Fraction(1, 2), 1), (1, 0)])
+    with pytest.raises(ValidationError):
+        A1.relint_contains((Fraction(3, 2), 1))
+    assert Cone.from_rays([(True, False), (1, 2)]) == A1
 
 
 def test_multiplicity():

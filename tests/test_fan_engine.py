@@ -185,7 +185,40 @@ def test_relint_point_candidates_match_box_scan():
         blocks += [frozenset({s, la.vadd(s, r)}) for r in c.rays]
         for forbidden in blocks:
             want = lowest_relint_points(c, forbidden)
-            assert fs._relint_point_candidates(c, forbidden) == want, (c, forbidden)
+            assert fs._relint_point_candidates(c.rays, forbidden) == want, \
+                (c, forbidden)
+
+
+def test_grading_of_a_smooth_cone_is_one_on_every_ray():
+    """The proof behind _relint_point_candidates: on a smooth cone the sum
+    of the facet normals is the dual basis sum, of level 1 on every ray."""
+    rng = random.Random(29)
+    for _ in range(40):
+        k = rng.randint(2, 4)
+        c = smooth_cone(rng, k, rng.randint(k, 4))
+        assert cg.is_smooth(c)
+        ell = cg.positive_functional(c)
+        assert [la.dot(ell, r) for r in c.rays] == [1] * k, c
+
+
+def test_cube_certificate_double_descriptions(monkeypatch):
+    """A work guard on the certificate path: the singular faces and the
+    offender centres build no cone of their own, so certify_essential on a
+    fresh 4d cube takes at most 42 double descriptions, as measured; building
+    those cones made it 90."""
+    cg._cone_from_generators.cache_clear()
+    y = face_locus(Cone.from_rays(CUBE.rays), [])
+    calls = []
+    dd = cg._double_description
+
+    def counted(*args):
+        calls.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(cg, "_double_description", counted)
+    report = nash.certify_essential(y, samples=3, seed=0)
+    assert report.bijective and len(report.minimal_points) == 7
+    assert len(calls) <= 42
 
 
 def test_decompositions_are_the_minima_below(cube_locus):

@@ -12,6 +12,7 @@ from toricnash.errors import (
     NotInRegion,
     NotInSupport,
     NotPrimitive,
+    SupportMismatch,
     WrongDimension,
 )
 from toricnash.fans import Fan, Subdivision
@@ -189,6 +190,32 @@ def test_is_locus_resolution_examples():
 
     rough = Subdivision(Fan.of_cone(A1), Fan.of_cone(A1), ())
     assert not fs.is_locus_resolution(rough, yA)  # not smooth
+
+
+def test_is_locus_resolution_rejects_another_base():
+    yA = face_locus(A1, [])
+    res = fs.resolve_smooth(Fan.of_cone(QUADRANT))
+    with pytest.raises(SupportMismatch, match="base is not the marked cone"):
+        fs.is_locus_resolution(res, yA)
+    blow = fs.star_subdivide(Fan.of_cone(A1), (1, 1))
+    wider = Subdivision(blow.refined, blow.refined, ())
+    with pytest.raises(SupportMismatch, match="base is not the marked cone"):
+        fs.is_locus_resolution(wider, yA)
+
+
+def test_is_locus_resolution_rejects_a_ray_outside_the_cone():
+    """One piece of an otherwise valid resolution of A1 reaches (0, 1),
+    outside A1; every other ray of the refinement lies in it."""
+    yA = face_locus(A1, [])
+    res = fs.resolve_smooth(Fan.of_cone(A1))
+    outside = Fan(2, res.refined.max_cones
+                  + (Cone.from_rays([(1, 2), (0, 1)]),))
+    sub = Subdivision(Fan.of_cone(A1), outside, ((1, 1), (0, 1)))
+    with pytest.raises(SupportMismatch, match="leaves the marked cone"):
+        fs.is_locus_resolution(sub, yA)
+    quadrant = Subdivision(Fan.of_cone(A1), Fan.of_cone(QUADRANT), ())
+    with pytest.raises(SupportMismatch, match="leaves the marked cone"):
+        fs.is_locus_resolution(quadrant, yA)
 
 
 def test_make_locus_resolution_quadrant():

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -178,6 +180,77 @@ def test_primitive_part():
             continue
         k = rng.randint(1, 9)
         assert la.primitive_part(la.vscale(k, v)) == la.primitive_part(v)
+
+
+# the generator definitions the C-builtin kernels replaced
+def old_dot(u, v):
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def old_vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def old_vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def old_gcd_vec(v):
+    g = 0
+    for a in v:
+        g = math.gcd(g, a)
+    return g
+
+
+def old_primitive_part(v):
+    g = old_gcd_vec(v)
+    if g == 0:
+        raise ZeroVector("primitive part of the zero vector is undefined")
+    return tuple(a // g for a in v)
+
+
+@st.composite
+def vector_pairs(draw):
+    d = draw(st.integers(0, 6))
+    vector = st.tuples(*[st.integers(-10**6, 10**6) | st.integers(-3, 3)] * d)
+    return draw(vector), draw(vector)
+
+
+@given(vector_pairs())
+def test_kernels_match_generator_definitions(pair):
+    u, v = pair
+    assert la.dot(u, v) == old_dot(u, v)
+    assert la.vadd(u, v) == old_vadd(u, v)
+    assert la.vsub(u, v) == old_vsub(u, v)
+    assert la.gcd_vec(u) == old_gcd_vec(u)
+    assert la.is_zero(u) == all(a == 0 for a in u)
+    assert la.vec(list(u)) == u
+    if la.is_zero(u):
+        with pytest.raises(ZeroVector):
+            la.primitive_part(u)
+    else:
+        got = la.primitive_part(u)
+        assert got == old_primitive_part(u)
+        assert type(got) is tuple and all(type(a) is int for a in got)
+
+
+@given(vector_pairs(), st.integers(1, 3))
+def test_kernels_reject_a_length_mismatch(pair, extra):
+    u, v = pair
+    longer = v + (1,) * extra
+    for kernel in (la.dot, la.vadd, la.vsub):
+        with pytest.raises(ValueError):
+            kernel(u, longer)
+        with pytest.raises(ValueError):
+            kernel(longer, u)
+
+
+def test_vec_rejects_non_integer_entries():
+    assert la.vec([1, -2, True]) == (1, -2, 1)
+    assert type(la.vec([True])[0]) is int
+    for bad in ([0.5, 1], [1.0, 2], [Fraction(1, 2)], [Fraction(2, 1)], ["1"]):
+        with pytest.raises(ValidationError):
+            la.vec(bad)
 
 
 def test_sublattice_index():

@@ -25,6 +25,7 @@ from toricnash.locus import (
 QUADRANT = Cone.from_rays([(1, 0), (0, 1)])
 A1 = Cone.from_rays([(1, 0), (1, 2)])
 QUADRIC = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+SIMPLEX_4D = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 7))
 
 
 def face_of(c, v):
@@ -76,6 +77,60 @@ def test_singular_faces():
     assert {f.rays for f in singular_faces(A1)} == {A1.rays}
     assert singular_faces(QUADRANT) == frozenset()
     assert {f.rays for f in singular_faces(QUADRIC)} == {QUADRIC.rays}
+
+
+CUBE_4D = tuple((a, b, c, 1) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+CYCLIC_3D = [((1, 0, 0), (0, 1, 0), (1, a, b))
+             for b in range(2, 6) for a in range(b)]
+
+
+def singular_by_cones(sigma):
+    return frozenset(f for f in cg.enumerate_faces(sigma)
+                     if not cg.is_smooth(f.as_cone()))
+
+
+@pytest.mark.parametrize("rays", [QUADRIC.rays, CUBE_4D, SIMPLEX_4D,
+                                  ((1, 0, 1), (1, 2, 1))] + CYCLIC_3D,
+                         ids=["quadric", "cube4d", "simplex4d", "plane-in-z3"]
+                         + [f"cyclic-{r[2][1]}-{r[2][2]}" for r in CYCLIC_3D])
+def test_singular_faces_match_is_smooth(rays):
+    sigma = Cone.from_rays(rays, len(rays[0]))
+    assert singular_faces(sigma) == singular_by_cones(sigma)
+
+
+def test_singular_faces_are_computed_once_per_cone(monkeypatch):
+    sigma = Cone.from_rays(SIMPLEX_4D)
+    first = singular_faces(sigma)
+    assert first
+    calls = []
+    index = la.sublattice_index
+
+    def counted(generators):
+        calls.append(generators)
+        return index(generators)
+
+    monkeypatch.setattr(la, "sublattice_index", counted)
+    assert singular_faces(sigma) is first
+    assert calls == []
+
+
+def test_singular_faces_take_no_double_description(monkeypatch):
+    """The cube's facets are not simplicial, so their cones would each take
+    a double description; the ranks and indices of their rays take none."""
+    cg._cone_from_generators.cache_clear()
+    cube = Cone.from_rays(CUBE_4D)
+    assert cube._faces is None and cube._singular is None
+
+    def refuse(*args):
+        raise AssertionError(f"double description of {args}")
+
+    monkeypatch.setattr(cg, "_double_description", refuse)
+    got = singular_faces(cube)
+    monkeypatch.undo()
+    assert got == singular_by_cones(cube)
+    # the cone and its 6 facets over the squares; the 2d faces over the
+    # cube's edges are smooth
+    assert len(got) == 7
 
 
 def test_face_locus_closure():
@@ -318,7 +373,6 @@ def test_contact_components_match_oracle():
         done += 1
 
 
-SIMPLEX_4D = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 7))
 CUBE_5D = tuple((a, b, c, d, 1) for a in (0, 1) for b in (0, 1)
                 for c in (0, 1) for d in (0, 1))
 
