@@ -80,23 +80,23 @@ def _extreme_rays(dim, eqs, ineqs):
             if not is_eq:
                 rays.append(la.primitive_part(l0))
         else:
-            plus = [r for r in rays if la.dot(a, r) > 0]
-            zero = [r for r in rays if la.dot(a, r) == 0]
-            minus = [r for r in rays if la.dot(a, r) < 0]
+            paired = [(la.dot(a, r), r) for r in rays]
+            plus = [(p, r) for p, r in paired if p > 0]
+            minus = [(p, r) for p, r in paired if p < 0]
             if minus or (is_eq and plus):
                 combos = []
                 seen = set()
-                for rp in plus:
-                    for rm in minus:
+                for pp, rp in plus:
+                    for pm, rm in minus:
                         if not adjacent(rp, rm):
                             continue
                         c = la.primitive_part(
-                            la.vsub(la.vscale(la.dot(a, rp), rm),
-                                    la.vscale(la.dot(a, rm), rp)))
+                            la.vsub(la.vscale(pp, rm), la.vscale(pm, rp)))
                         if c not in seen:
                             seen.add(c)
                             combos.append(c)
-                rays = ([] if is_eq else plus) + zero + combos
+                rays = ([] if is_eq else [r for _, r in plus]) + \
+                    [r for p, r in paired if p == 0] + combos
         processed.append(a)
     return tuple(lines), tuple(rays)
 

@@ -19,6 +19,23 @@ Star centers come from finite candidate sets given by proofs, never from a
 level scan: parallelepiped points, relative-interior points of smooth cones,
 and the region minima that the locus caches.
 
+Subdivision.validate certifies a refinement base cone by base cone with a
+facet pairing (De Loera, Rambau and Santos, Triangulations, ch. 4).  Each
+facet of a piece of the base cone's dimension is keyed by its rays, read off
+the piece's facet normals, so no face cone and no double description is
+built.  A facet in the base cone's boundary must bound one piece and any other
+facet two, from opposite sides; the ray sum of the first piece must lie in no
+other.  Then the number of pieces over a generic point does not change across
+a facet, so it is constant on the base cone, and it is 1 near that ray sum:
+the pieces cover the base cone with disjoint interiors.  Simplicial pieces of
+the base cone's dimension that cover it once and share whole facets meet in
+common faces, so when the base is one cone and every piece is such, as in
+every locus resolution and avoidance witness, the certificate is complete.
+Any other subdivision also runs the pairwise validate_fan, which stays the
+CLI's fan check: the pieces of two base cones, say, may cut their common
+face in two different ways.  One pass over the facets costs less than the double
+descriptions it replaces, so validate keeps no cache.
+
 avoidance_resolution is the construction for one given ray w; it takes
 primitive w only, since rays are primitive and no resolution could carry a
 multiple.
@@ -32,7 +49,7 @@ the recipe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 
 from . import intlinalg as la
@@ -40,7 +57,6 @@ from .cones import (
     Cone,
     enumerate_faces,
     face_spanned_by,
-    facets,
     hilbert_basis,
     intersect,
     is_smooth,
@@ -196,8 +212,6 @@ class Subdivision:
     base: Fan
     refined: Fan
     added_rays: tuple
-    _problems: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def is_identity(self):
         return self.base == self.refined
@@ -205,49 +219,59 @@ class Subdivision:
     def validate(self):
         """Exact structural check; returns (ok, diagnostics).
 
-        The object is frozen, so the check runs once and is stored; each call
-        returns a fresh diagnostics list."""
-        if self._problems is None:
-            object.__setattr__(self, "_problems", tuple(self._check()))
-        return not self._problems, list(self._problems)
-
-    def _check(self):
+        The facet certificate of _facet_problems runs in every base cone;
+        validate_fan runs too unless the base is one cone and every refined
+        cone is simplicial of its dimension, where the certificate is
+        complete (see the module docstring)."""
+        base = self.base.max_cones
+        pieces = self.refined.max_cones
         problems = []
-        ok, diag = validate_fan(self.refined)
-        problems.extend(diag)
+        if len(base) != 1 or not all(c.is_simplicial and c.dim == base[0].dim
+                                     for c in pieces):
+            problems.extend(validate_fan(self.refined)[1])
         if not set(self.base.rays()) <= set(self.refined.rays()):
             problems.append("base rays are not all rays of the refinement")
-        for c in self.refined.max_cones:
-            if not any(_cone_subset(c, b) for b in self.base.max_cones):
+        for c in pieces:
+            if not any(_cone_subset(c, b) for b in base):
                 problems.append(f"refined cone {list(c.rays)} lies in no base cone")
-        problems.extend(_support_equality_problems(self.base, self.refined))
-        return problems
+        for b in base:
+            problems.extend(_facet_problems(b, [
+                c for c in pieces if c.dim == b.dim and _cone_subset(c, b)]))
+        return not problems, problems
 
 
-def _support_equality_problems(base: Fan, refined: Fan):
-    """Pure-dimensional facet-pairing argument: inside each base cone every
-    interior facet of the refinement must be shared by exactly two pieces."""
+def _facet_problems(b: Cone, members):
+    """Facet-pairing certificate that members, the refined cones of b's
+    dimension inside b, cover b with disjoint interiors.
+
+    A facet of a member is keyed by its rays, those on which one of the
+    member's facet normals vanishes.  A facet in b's boundary, where a facet
+    normal of b vanishes on its rays, must bound one member; any other must
+    bound two, from opposite sides: their inward normals are negatives (both
+    pieces span b's span, so their canonical normals share one lattice
+    frame).  And the ray sum of the first member, interior to it, must lie
+    in no other member."""
+    if not members:
+        return [f"base cone {list(b.rays)} is not covered"]
+    if b.dim == 0:
+        return []
+    sides = {}
+    for c in members:
+        for u in c.facet_normals:
+            sides.setdefault(tuple(r for r in c.rays if la.dot(u, r) == 0),
+                             []).append(u)
     problems = []
-    for b in base.max_cones:
-        members = [c for c in refined.max_cones
-                   if _cone_subset(c, b) and c.dim == b.dim]
-        if not members:
-            problems.append(f"base cone {list(b.rays)} is not covered")
-            continue
-        if b.dim == 0:
-            continue
-        counts = {}
-        for c in members:
-            for fc in facets(c):
-                counts[fc.as_cone()] = counts.get(fc.as_cone(), 0) + 1
-        for fc, num in counts.items():
-            if num == 1:
-                if face_spanned_by(b, fc.rays).rays == b.rays and fc.dim == b.dim - 1:
-                    problems.append(
-                        f"facet {list(fc.rays)} inside {list(b.rays)} is uncovered")
-            elif num > 2:
-                problems.append(
-                    f"facet {list(fc.rays)} is shared by {num} cones")
+    for rays, normals in sides.items():
+        outer = any(all(la.dot(v, r) == 0 for r in rays) for v in b.facet_normals)
+        if len(normals) == 1 and not outer:
+            problems.append(f"facet {list(rays)} inside {list(b.rays)} is uncovered")
+        elif len(normals) > 1 + (not outer):
+            problems.append(f"facet {list(rays)} is shared by {len(normals)} cones")
+        elif len(normals) == 2 and normals[0] != la.vneg(normals[1]):
+            problems.append(f"facet {list(rays)} has both cones on one side")
+    inner = la.vsum(members[0].rays, b.ambient_dim)
+    problems.extend(f"cones {list(members[0].rays)} and {list(c.rays)} overlap"
+                    for c in members[1:] if c.contains(inner))
     return problems
 
 

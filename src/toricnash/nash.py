@@ -345,6 +345,8 @@ def locus_from_spec(sigma: Cone, spec, ray_order=None) -> FaceLocus:
     if spec == "sing":
         return face_locus(sigma, [])
     if isinstance(spec, dict) and "faces" in spec:
+        if not isinstance(spec["faces"], (list, tuple)):
+            raise ValidationError(f"faces must be a list, got {spec['faces']!r}")
         faces = []
         all_faces = {f.rays: f for f in enumerate_faces(sigma)}
         for idxs in spec["faces"]:
@@ -360,6 +362,8 @@ def locus_from_spec(sigma: Cone, spec, ray_order=None) -> FaceLocus:
             faces.append(all_faces[rays])
         return face_locus(sigma, faces)
     if isinstance(spec, dict) and "ideal" in spec:
+        if not isinstance(spec["ideal"], (list, tuple)):
+            raise ValidationError(f"ideal must be a list, got {spec['ideal']!r}")
         ideal = MonomialIdeal(sigma, tuple(spec["ideal"]))
         marked = []
         for f in enumerate_faces(sigma):

@@ -14,7 +14,14 @@ cap) and their minimality.
 from __future__ import annotations
 
 from . import intlinalg as la
-from .cones import Cone, cone_leq, points_up_to_level, positive_functional
+from .cones import (
+    Cone,
+    cone_leq,
+    hilbert_basis,
+    points_up_to_level,
+    positive_functional,
+    relint_contains,
+)
 from .locus import FaceLocus
 from .nash import MonomialIdeal
 
@@ -29,7 +36,6 @@ def _pairwise_minimal(sigma: Cone, points):
 
 def region_points_up_to(locus: FaceLocus, cap: int):
     """Region membership decided face by face, not via the reduction test."""
-    from .cones import enumerate_faces, relint_contains
     sigma = locus.cone
     marked = list(locus.faces)
     out = []
@@ -65,13 +71,11 @@ def default_contact_cap(ideal: MonomialIdeal, n: int) -> int:
     ord(v - h) <= ord(v) = n, and v - h is a contact point below v, against
     minimality.  Hence every coefficient is at most n.
     """
-    from .cones import hilbert_basis
     sigma = ideal.sigma
     ell = positive_functional(sigma)
     return max(1, n * sum(la.dot(ell, h) for h in hilbert_basis(sigma)))
 
 
 def default_region_cap(locus: FaceLocus) -> int:
-    from .cones import hilbert_basis
     ell = positive_functional(locus.cone)
     return max(1, sum(la.dot(ell, h) for h in hilbert_basis(locus.cone)))

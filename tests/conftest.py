@@ -1,8 +1,9 @@
 """Hypothesis settings for the test suite: derandomized, so every run draws
 the same examples, with a small example budget and no example database.
 Hypothesis also caches the constants it reads from the source; that cache
-goes to a temporary directory, removed at exit, so a test run leaves no
-.hypothesis/ directory behind."""
+goes to a temporary directory, removed explicitly when pytest unconfigures,
+so a test run leaves no .hypothesis/ directory behind and no implicit
+cleanup warning."""
 
 import tempfile
 
@@ -15,3 +16,7 @@ set_hypothesis_home_dir(_storage.name)
 settings.register_profile("suite", derandomize=True, deadline=None,
                           database=None, max_examples=50)
 settings.load_profile("suite")
+
+
+def pytest_unconfigure(config):
+    _storage.cleanup()

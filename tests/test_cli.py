@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,11 @@ PLANES_ALONG_LINE = {"kind": "stv", "dim": 2,
                                     {"rays": [[-1, 0], [0, 1]]}],
                      "gluings": [{"i": 0, "j": 1, "face_i": [1], "face_j": [1],
                                   "matrix": [[1, 0], [0, 1]]}]}
+
+
+ROOT = Path(__file__).parents[1]
+A1_PAIR = {"kind": "pair", "dim": 2, "cone": {"rays": [[1, 0], [1, 2]]},
+           "y": "sing"}
 
 
 def run(tmp_path, capsys, command, doc, *extra):
@@ -211,3 +220,44 @@ def test_non_pointed_cone_reported(tmp_path, capsys, doc):
     assert code == cli.EXIT_INPUT
     assert "not pointed" in out.err
     assert "non-extreme" not in out.err
+
+
+def test_info_on_a_fan_reports_the_parse_check(tmp_path, capsys):
+    """parse_input rejects a document whose cones do not form a fan, so info
+    reports every fan it gets as valid."""
+    fan = {"kind": "fan", "dim": 2, "cones": [[[1, 0], [1, 1]], [[1, 1], [0, 1]]]}
+    code, out = run(tmp_path, capsys, "info", fan, "--format", "json")
+    assert code == cli.EXIT_OK
+    results = json.loads(out.out)["results"]
+    assert results["valid"] is True and results["diagnostics"] == []
+    assert results["max_cones"] == [[[0, 1], [1, 1]], [[1, 0], [1, 1]]]
+    crossing = dict(fan, cones=[[[1, 0], [1, 2]], [[1, 1], [0, 1]]])
+    code, out = run(tmp_path, capsys, "info", crossing)
+    assert code == cli.EXIT_INPUT
+    assert "not a fan" in out.err
+
+
+def run_module(tmp_path, text, *args):
+    """python -m toricnash.cli in a fresh interpreter, from the repository
+    root with PYTHONPATH=src."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "toricnash.cli", *args, "--input", str(path)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point(tmp_path):
+    first, second = (run_module(tmp_path, json.dumps(A1_PAIR), "nash",
+                                "--format", "json") for _ in range(2))
+    assert first.returncode == second.returncode == cli.EXIT_OK, first.stderr
+    assert first.stdout == second.stdout
+    assert json.loads(first.stdout)["results"]["minimal_points"] == [[1, 1]]
+    bad_y = dict(A1_PAIR, y={"faces": 5})
+    for text in ('{"kind": "pair",', json.dumps(bad_y)):
+        bad = run_module(tmp_path, text, "nash", "--format", "json")
+        assert bad.returncode == cli.EXIT_INPUT
+        assert bad.stdout == ""
+        assert bad.stderr.startswith(("parse error", "invalid input"))
+        assert "Traceback" not in bad.stderr

@@ -2,6 +2,7 @@
 simplicialization, certification of the 4d cube pair, and the finite candidate
 sets of the locus resolution and the avoidance construction."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -340,6 +341,152 @@ def test_validate_is_computed_once_per_subdivision(cube_locus):
     kept = list(problems)
     problems.clear()
     assert dropped.validate() == (False, kept)
+
+
+# -- the facet certificate against the pairwise reference ---------------------
+
+PLANE_IN_Z3 = Cone.from_rays([(1, 0, 1), (1, 3, 1)])
+QUADRIC_IN_Z4 = Cone.from_rays([(1, 0, 0, 1), (0, 1, 0, 1), (1, 0, 1, 1),
+                                (0, 1, 1, 1)])
+
+
+def reference_validate(sub):
+    """Subdivision.validate as it was before the facet certificate: the
+    pairwise validate_fan, the base-ray and containment checks, and a
+    support test that counts the facets of each base cone's pieces as Cones.
+    Only the verdict is kept, and the pairwise test, the costly one, runs
+    last."""
+    base, pieces = sub.base.max_cones, sub.refined.max_cones
+    if not set(sub.base.rays()) <= set(sub.refined.rays()):
+        return False
+    if not all(any(fs._cone_subset(c, b) for b in base) for c in pieces):
+        return False
+    for b in base:
+        members = [c for c in pieces if fs._cone_subset(c, b) and c.dim == b.dim]
+        if not members:
+            return False
+        if b.dim == 0:
+            continue
+        counts = collections.Counter(f.as_cone() for c in members
+                                     for f in cg.facets(c))
+        for fc, num in counts.items():
+            if num > 2 or num == 1 and fc.dim == b.dim - 1 and \
+               cg.face_spanned_by(b, fc.rays).rays == b.rays:
+                return False
+    return fs.validate_fan(sub.refined)[0]
+
+
+def corruptions(sub):
+    """Copies of a locus resolution, built with Fan._of_maximal so that
+    nothing is pruned: one piece dropped, a simplicial piece on the base's
+    rays laid over the others, and one piece with a ray replaced by its
+    negative, outside the base."""
+    (sigma,) = sub.base.max_cones
+    pieces = list(sub.refined.max_cones)
+    span = []
+    for r in sigma.rays:
+        if la.rank(span + [r]) > len(span):
+            span.append(r)
+    over = Cone.from_rays(span, sigma.ambient_dim)
+    assert over.dim == sigma.dim and over not in pieces
+    first = pieces[0]
+    outside = Cone.from_rays((la.vneg(first.rays[0]),) + first.rays[1:],
+                             sigma.ambient_dim)
+
+    def copy(cones):
+        return fs.Subdivision(sub.base, Fan._of_maximal(sigma.ambient_dim, cones),
+                              sub.added_rays)
+
+    mid = len(pieces) // 2
+    return {"dropped": copy(pieces[:mid] + pieces[mid + 1:]),
+            "overlap": copy(pieces + [over]),
+            "outside": copy([outside] + pieces[1:])}
+
+
+@pytest.mark.parametrize("cone, seed", [
+    (c, seed) for c in (CUBE, QUADRIC, SIMPLEX_4D) for seed in (0, 1, 2)
+] + [(PLANE_IN_Z3, 0), (QUADRIC_IN_Z4, 0)], ids=[
+    f"{name}-{seed}" for name in ("cube", "quadric", "simplex4d")
+    for seed in (0, 1, 2)] + ["plane-in-z3", "quadric-in-z4"])
+def test_facet_certificate_matches_pairwise_reference(cone, seed):
+    sub = fs.make_locus_resolution(cone, face_locus(cone, []),
+                                   rng=random.Random(seed))
+    assert sub.validate() == (True, [])
+    assert reference_validate(sub)
+    for name, bad in corruptions(sub).items():
+        ok, problems = bad.validate()
+        assert not ok and problems, name
+        assert not reference_validate(bad), name
+
+
+def test_both_triangulations_of_the_quadric_pass():
+    a, b, c, d = (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)  # a + d = b + c
+    base = Fan.of_cone(QUADRIC)
+    for diagonal, apexes in (((a, d), (b, c)), ((b, c), (a, d))):
+        pieces = [Cone.from_rays(diagonal + (x,)) for x in apexes]
+        sub = fs.Subdivision(base, Fan._of_maximal(3, pieces), ())
+        assert sub.validate() == (True, [])
+        assert reference_validate(sub)
+    crossed = fs.Subdivision(base, Fan._of_maximal(3, [
+        Cone.from_rays([a, d, b]), Cone.from_rays([b, c, a])]), ())
+    assert not crossed.validate()[0] and not reference_validate(crossed)
+
+
+def test_each_clause_of_the_certificate_is_needed():
+    """Two covers that only one clause rejects each: a fold, whose interior
+    facets pair up from one side, and two triangulations laid over each
+    other with no facet in common, caught by the first piece's ray sum."""
+    fold = fs.Subdivision(Fan.of_cone(QUADRANT), Fan._of_maximal(2, [
+        Cone.from_rays(rays) for rays in
+        ([(1, 0), (2, 3)], [(1, 1), (2, 3)], [(0, 1), (1, 1)])]), ())
+    ok, problems = fold.validate()
+    assert not ok and all("one side" in p for p in problems)
+    assert not reference_validate(fold)
+    octant = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    def triangulation(centers):
+        fan = Fan.of_cone(octant)
+        for v in centers:
+            fan = fs._star_refine(fan, v)
+        return fan.max_cones
+
+    first = triangulation([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    second = triangulation([(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+    twice = fs.Subdivision(Fan.of_cone(octant),
+                           Fan._of_maximal(3, first + second), ())
+    ok, problems = twice.validate()
+    assert not ok and len(problems) == 1 and "overlap" in problems[0]
+    assert not reference_validate(twice)
+
+
+def test_base_cones_refined_apart_fail_the_pairwise_test():
+    """Each base cone is triangulated, but the shared face cone(e1, e2) is
+    cut in one of them only, so the pieces do not meet in common faces."""
+    e1, e2, e3, down = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)
+    base = Fan(3, [Cone.from_rays([e1, e2, e3]), Cone.from_rays([e1, e2, down])])
+    refined = Fan._of_maximal(3, [
+        Cone.from_rays([e1, (1, 1, 0), e3]), Cone.from_rays([(1, 1, 0), e2, e3]),
+        Cone.from_rays([e1, e2, down])])
+    apart = fs.Subdivision(base, refined, ((1, 1, 0),))
+    ok, problems = apart.validate()
+    assert not ok and problems == fs.validate_fan(refined)[1]
+    assert not reference_validate(apart)
+
+
+def test_a_duplicated_piece_is_rejected():
+    sub = fs.make_locus_resolution(QUADRIC, face_locus(QUADRIC, []))
+    pieces = sub.refined.max_cones
+    doubled = fs.Subdivision(sub.base, Fan._of_maximal(3, pieces + pieces[:1]),
+                             sub.added_rays)
+    ok, problems = doubled.validate()
+    assert not ok and problems
+    # a smooth cone covered twice passes every count of the old support test
+    # and the pairwise test; the boundary facets now bound two pieces
+    twice = fs.Subdivision(Fan.of_cone(QUADRANT),
+                           Fan._of_maximal(2, [QUADRANT, QUADRANT]), ())
+    ok, problems = twice.validate()
+    assert not ok and problems
+    assert reference_validate(twice)
 
 
 # -- the local star engine against its references ------------------------------

@@ -641,7 +641,8 @@ def test_locus_from_spec_faces():
 
 @pytest.mark.parametrize("spec", [{"faces": [[-1]]}, {"faces": [[1.0]]},
                                   {"faces": [[True]]}, {"faces": [1]},
-                                  {"ideal": [[0.5, 1.9]]}, {"ideal": [[1]]}])
+                                  {"ideal": [[0.5, 1.9]]}, {"ideal": [[1]]},
+                                  {"faces": 5}, {"ideal": 5}])
 def test_locus_from_spec_rejects_coerced_input(spec):
     with pytest.raises(ValidationError):
         nash.locus_from_spec(A1, spec)
